@@ -9,7 +9,7 @@ use tputpred_core::metrics::{self, relative_error_floored};
 use tputpred_core::predictor::EpochObservation;
 use tputpred_stats::{Cdf, CdfError};
 use tputpred_testbed::{
-    load_or_generate_sharded, CompleteEpoch, Dataset, EpochRecord, Preset, ShardStats, TraceData,
+    load_or_generate_sharded, CompleteEpoch, Dataset, EpochRecord, Preset, TraceData,
 };
 
 /// Builds the CDF a figure series needs from a possibly degraded sample.
@@ -62,15 +62,10 @@ pub type PredictorZoo = Vec<(&'static str, PredictorCtor)>;
 /// parallelizes across cores; progress goes to stderr so figure output
 /// on stdout stays clean.
 pub fn load_dataset(args: &Args) -> Dataset {
-    load_dataset_with_shards(args).0
-}
-
-/// [`load_dataset`] plus the shard reuse counts, for binaries that
-/// report cache effectiveness (`gen_dataset`, `perf_report`).
-pub fn load_dataset_with_shards(args: &Args) -> (Dataset, ShardStats) {
     let dir = args.shard_dir();
     load_or_generate_sharded(&dir, &args.preset)
         .unwrap_or_else(|e| panic!("dataset at {}: {e}", dir.display()))
+        .0
 }
 
 /// The column set of the epoch CSV export (`export_csv`), in order.

@@ -1,9 +1,9 @@
 //! Profiled dataset generation and the `BENCH_gen_<preset>.json` report.
 //!
 //! `gen_dataset --profile` and the `perf_report` binary both route
-//! through [`profile_generation`]: the sharded dataset load (DESIGN.md
-//! §9) runs under [`tputpred_obs::with_profiling`] (telemetry enabled
-//! for exactly that call), and the raw [`TelemetryReport`] is distilled
+//! through [`profile_for_each_path`]: the shard walk (DESIGN.md §9)
+//! runs under [`tputpred_obs::with_profiling`] (telemetry enabled for
+//! exactly that call), and the raw [`TelemetryReport`] is distilled
 //! into a [`PerfReport`] — stage wall-clock timings, simulator event
 //! rates, the parallel speedup actually achieved, and the shard cache's
 //! hit/miss/regen counts — then written as JSON.
@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 use crate::cli::Args;
 use serde::{Deserialize, Serialize};
 use tputpred_obs::{self as obs, TelemetryReport};
-use tputpred_testbed::{for_each_path, load_or_generate_sharded, Dataset, PathData, ShardStats};
+use tputpred_testbed::{for_each_path, PathData, ShardStats};
 
 /// Wall-clock summary of one named timing scope.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -109,30 +109,17 @@ pub struct PerfReport {
     pub counters: Vec<CounterLine>,
 }
 
-/// Runs the sharded dataset load for `args` with telemetry enabled and
-/// returns the dataset with its distilled [`PerfReport`].
+/// Runs [`tputpred_testbed::for_each_path`] for `args` with telemetry
+/// enabled, so `visit` sees every path in catalog order while only one
+/// shard is resident (DESIGN.md §15), and returns the shard counts with
+/// the distilled [`PerfReport`].
 ///
-/// Profiles the load as the figure binaries experience it: a cold cache
+/// Profiles the walk as the figure binaries experience it: a cold cache
 /// times the simulator, a warm one times shard deserialization, and a
 /// partially stale one times exactly the regenerated slice — the
 /// `shards_*` counters say which case ran (a CI smoke step asserts on
 /// them). Delete `data/<preset>/` first to force a full simulator
 /// profile.
-pub fn profile_generation(args: &Args) -> io::Result<(Dataset, PerfReport)> {
-    let dir = args.shard_dir();
-    let (result, telemetry) = obs::with_profiling(|| load_or_generate_sharded(&dir, &args.preset));
-    let (dataset, _) = result?;
-    eprintln!("# profiled shard cache -> {}", dir.display());
-    let report = distill(&args.preset.name, &telemetry);
-    Ok((dataset, report))
-}
-
-/// Streaming counterpart of [`profile_generation`]: runs
-/// [`tputpred_testbed::for_each_path`] under profiling, so `visit` sees
-/// every path in catalog order while only one shard is resident — the
-/// profile entry point for `synth1k`/`synth10k`-scale presets
-/// (DESIGN.md §15). The distilled report is identical in shape; only
-/// the peak memory differs.
 pub fn profile_for_each_path<V>(args: &Args, visit: V) -> io::Result<(ShardStats, PerfReport)>
 where
     V: FnMut(usize, &PathData) -> io::Result<()>,

@@ -86,7 +86,7 @@ impl Ctx<'_> {
     /// Sends a packet of `size` bytes along `route` to `dst`.
     // lint:hot-path
     pub fn send(&mut self, route: Route, dst: EndpointId, size: u32, payload: Payload) {
-        self.sim.counters.commands_applied += 1;
+        self.sim.counters.endpoint_calls += 1;
         self.sim.route_packet(Packet {
             size,
             src: self.self_id,
@@ -104,7 +104,7 @@ impl Ctx<'_> {
     /// the current time (see [`EngineCounters::timer_clamps`]).
     // lint:hot-path
     pub fn set_timer(&mut self, token: u64, at: Time) {
-        self.sim.counters.commands_applied += 1;
+        self.sim.counters.endpoint_calls += 1;
         let at = self.sim.clamp_to_now(at);
         let seq = self.sim.next_seq();
         self.sim.wheel_push(TimerEntry {
@@ -223,8 +223,9 @@ pub struct EngineCounters {
     pub packets_dropped: u64,
     /// Packets delivered to a destination endpoint.
     pub packets_delivered: u64,
-    /// Endpoint commands applied (sends + timer arms).
-    pub commands_applied: u64,
+    /// Endpoint calls into the engine: every [`Ctx::send`] and
+    /// [`Ctx::set_timer`], each applied inline against the simulator.
+    pub endpoint_calls: u64,
     /// Past-due timer arms clamped up to `now` (identical in debug and
     /// release builds; zero in a well-behaved simulation).
     pub timer_clamps: u64,

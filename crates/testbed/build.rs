@@ -1,8 +1,9 @@
 //! Computes the behavior hash — a digest of the source trees that
 //! determine dataset contents (netsim, tcp, probes, testbed) — and
 //! exposes it to the crate as the `TPUTPRED_BEHAVIOR_HASH` env var.
-//! `Dataset::load_or_generate` compares it against the hash embedded in
-//! `data/<preset>.json` and regenerates stale caches automatically.
+//! The shard cache (`Dataset::for_each_path_sharded`) compares it
+//! against the hash embedded in every `data/<preset>/path-<id>.json`
+//! shard and regenerates stale shards automatically.
 
 // Shares the hashing code with the crate itself (src/behavior_hash.rs
 // is std-only for exactly this reason).

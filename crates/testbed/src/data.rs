@@ -1,21 +1,19 @@
 //! The dataset model: what one epoch measures and how datasets persist.
 //!
-//! Persistence carries a staleness guard: [`Dataset::save`] embeds the
-//! [`BEHAVIOR_HASH`] of the simulation source trees (netsim, tcp,
-//! probes, testbed) alongside the data, and
-//! [`Dataset::load_or_generate`] regenerates the cache whenever the
-//! embedded hash differs from the one compiled into the running binary.
-//! A cached dataset is a pure function of (preset, seed, simulator
-//! code); the hash makes the third input explicit.
-//!
-//! The production cache is **sharded per path** (DESIGN.md §9): one
+//! The cache is **sharded per path** (DESIGN.md §9): one
 //! `path-<id>.json` per catalog path under `data/<preset>/`, plus a
-//! `manifest.json`. Each shard embeds the behavior hash *and* a
-//! fingerprint of (preset, path config), so
-//! [`Dataset::load_or_generate_sharded`] can reuse every shard the
-//! running binary still trusts and regenerate only the stale, missing,
-//! or corrupt ones — the merged dataset is bit-identical to a
-//! from-scratch generation (pinned by
+//! `manifest.json`. Each shard embeds the [`BEHAVIOR_HASH`] of the
+//! simulation source trees (netsim, tcp, probes, testbed) *and* a
+//! fingerprint of (preset, path config): a cached path is a pure
+//! function of (preset, config, simulator code), and the two digests
+//! make all three inputs explicit.
+//!
+//! [`Dataset::for_each_path_sharded`] is the one cache core: it
+//! classifies every shard from its envelope prefix, regenerates only
+//! the stale, missing, or corrupt ones, and streams each path to a
+//! visitor after a single full parse — recovering, not aborting, when a
+//! shard turns out damaged at that parse. Walked or collected, the data
+//! is bit-identical to a from-scratch generation (pinned by
 //! `crates/testbed/tests/shard_pin.rs`).
 
 use crate::path::PathConfig;
@@ -23,23 +21,13 @@ use crate::preset::Preset;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fs;
-use std::io;
+use std::io::{self, Read};
 use std::path::Path as FsPath;
 use tputpred_obs as obs;
 
 /// Digest of the simulation source trees this binary was compiled
 /// from, computed by `build.rs` (see `behavior_hash`).
 pub const BEHAVIOR_HASH: &str = env!("TPUTPRED_BEHAVIOR_HASH");
-
-/// The on-disk envelope: the dataset plus the behavior hash of the
-/// code that generated it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct DatasetFile {
-    /// [`BEHAVIOR_HASH`] at generation time.
-    behavior_hash: String,
-    /// The payload.
-    dataset: Dataset,
-}
 
 /// How much of an epoch's measurement schedule actually ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -287,214 +275,40 @@ impl Dataset {
             .count()
     }
 
-    /// Serializes the dataset as JSON to `path`, embedding the current
-    /// [`BEHAVIOR_HASH`].
-    pub fn save(&self, path: &FsPath) -> io::Result<()> {
-        self.save_with_hash(path, BEHAVIOR_HASH)
-    }
-
-    /// [`Dataset::save`] with an explicit hash. Exists so tests can
-    /// fabricate stale cache files; everything else wants `save`.
-    ///
-    /// Writes are atomic: the JSON goes to a temp file in the same
-    /// directory, then renames into place, so a figure run interrupted
-    /// mid-save can never leave a truncated cache behind for the next
-    /// run to trip over.
-    #[doc(hidden)]
-    pub fn save_with_hash(&self, path: &FsPath, behavior_hash: &str) -> io::Result<()> {
-        let file = DatasetFile {
-            behavior_hash: behavior_hash.to_string(),
-            dataset: self.clone(),
-        };
-        let json = serde_json::to_string(&file).map_err(io::Error::other)?;
-        write_atomic(path, &json)
-    }
-
-    /// Loads a dataset saved by [`Dataset::save`], regardless of the
-    /// behavior hash it was generated under. Use
-    /// [`Dataset::load_or_generate`] when staleness matters.
-    pub fn load(path: &FsPath) -> io::Result<Self> {
-        Ok(Self::load_with_hash(path)?.1)
-    }
-
-    /// Loads `(embedded behavior hash, dataset)`.
-    fn load_with_hash(path: &FsPath) -> io::Result<(String, Self)> {
-        let json = fs::read_to_string(path)?;
-        let file: DatasetFile = serde_json::from_str(&json).map_err(io::Error::other)?;
-        Ok((file.behavior_hash, file.dataset))
-    }
-
-    /// Loads the dataset at `path` if it is present *and* was generated
-    /// by the same simulation code as this binary (matching behavior
-    /// hash); otherwise generates it with `generate` and saves it
-    /// there. Missing files, caches from a different source tree, and
-    /// unparseable files (e.g. the pre-hash format) all regenerate —
-    /// the cache can be wrong only by being slow, never by being stale.
-    pub fn load_or_generate<F: FnOnce() -> Dataset>(
-        path: &FsPath,
-        generate: F,
-    ) -> io::Result<Self> {
-        // A crash between the atomic save's write and rename leaks a
-        // `.{name}.tmp.{pid}` file; load is the natural sweep point.
-        if let Some(dir) = path.parent() {
-            sweep_stale_temps(dir);
-        }
-        match Self::load_with_hash(path) {
-            Ok((hash, ds)) if hash == BEHAVIOR_HASH => return Ok(ds),
-            Ok((hash, _)) => {
-                eprintln!(
-                    "dataset {}: behavior hash {} != current {}; simulation code \
-                     changed — regenerating",
-                    path.display(),
-                    hash,
-                    BEHAVIOR_HASH
-                );
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => {
-                eprintln!(
-                    "dataset {}: unreadable cache ({e}); regenerating",
-                    path.display()
-                );
-            }
-        }
-        let ds = generate();
-        ds.save(path)?;
-        Ok(ds)
-    }
-
-    /// Shard-aware cache: loads `data/<preset>/path-<id>.json` shards,
-    /// regenerates only the stale, missing, or corrupt ones through
-    /// `regenerate`, and merges everything in catalog order. A shard is
-    /// reused only when its embedded [`BEHAVIOR_HASH`] matches this
-    /// binary *and* its config fingerprint matches
-    /// [`shard_fingerprint`] of the current (preset, path config) —
-    /// so simulation-code edits invalidate every shard (the behavior
-    /// hash covers the whole source tree) while preset or catalog
-    /// changes and cache damage invalidate only the affected shards.
-    ///
-    /// `regenerate` receives the catalog indices of the shards to
-    /// rebuild (ascending) and must return one [`PathData`] per index,
-    /// in that order. The merged dataset is bit-identical to a
-    /// from-scratch generation; `crates/testbed/tests/shard_pin.rs`
-    /// pins this.
-    ///
-    /// Housekeeping on every load: orphaned atomic-write temp files are
-    /// swept, shards beyond the catalog (a shrunk preset) are removed,
-    /// the manifest is rewritten when out of date, and a legacy
-    /// monolithic `<dir>.json` cache — fully superseded, never trusted
-    /// — is deleted once the sharded cache is in place.
-    pub fn load_or_generate_sharded<F>(
-        dir: &FsPath,
-        preset: &Preset,
-        catalog: &[PathConfig],
-        regenerate: F,
-    ) -> io::Result<(Self, ShardStats)>
-    where
-        F: FnOnce(&[usize]) -> Vec<PathData>,
-    {
-        fs::create_dir_all(dir)?;
-        sweep_stale_temps(dir);
-        remove_orphan_shards(dir, catalog.len());
-
-        let mut stats = ShardStats::default();
-        let mut slots: Vec<Option<PathData>> = Vec::with_capacity(catalog.len());
-        for (id, config) in catalog.iter().enumerate() {
-            let shard_path = dir.join(shard_file_name(id));
-            let expected = shard_fingerprint(preset, config);
-            match load_shard(&shard_path) {
-                Ok(shard) if shard_trusted(&shard, &expected) => {
-                    stats.hits += 1;
-                    slots.push(Some(shard.path));
-                }
-                Ok(_) => {
-                    // Present but generated by different simulation
-                    // code or a different (preset, config).
-                    stats.stale += 1;
-                    slots.push(None);
-                }
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    stats.missing += 1;
-                    slots.push(None);
-                }
-                Err(_) => {
-                    // Unparseable or truncated: same as stale.
-                    stats.stale += 1;
-                    slots.push(None);
-                }
-            }
-        }
-
-        let stale_ids: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(id, s)| s.is_none().then_some(id))
-            .collect();
-        if !stale_ids.is_empty() {
-            eprintln!(
-                "# dataset '{}': {} shard(s) reused, regenerating {} \
-                 ({} missing, {} stale) -> {}",
-                preset.name,
-                stats.hits,
-                stale_ids.len(),
-                stats.missing,
-                stats.stale,
-                dir.display()
-            );
-            let fresh = regenerate(&stale_ids);
-            if fresh.len() != stale_ids.len() {
-                return Err(io::Error::other(format!(
-                    "shard regeneration returned {} paths for {} stale shards",
-                    fresh.len(),
-                    stale_ids.len()
-                )));
-            }
-            for (&id, data) in stale_ids.iter().zip(fresh) {
-                save_shard(dir, id, preset, &data)?;
-                slots[id] = Some(data);
-            }
-        }
-        write_manifest_if_changed(dir, preset, catalog)?;
-
-        let paths: Vec<PathData> = slots.into_iter().flatten().collect();
-        if paths.len() != catalog.len() {
-            return Err(io::Error::other(
-                "sharded load assembled fewer paths than the catalog",
-            ));
-        }
-
-        remove_legacy_monolith(dir, preset);
-
-        Ok((
-            Dataset {
-                preset: preset.clone(),
-                paths,
-            },
-            stats,
-        ))
-    }
-
-    /// Streaming counterpart of [`Dataset::load_or_generate_sharded`]:
-    /// the same classify → regenerate → reuse cycle, but no merged
-    /// `Dataset` is ever materialized — `visit` sees each path's data
-    /// in catalog order and the payload is dropped before the next one
+    /// The shard cache (DESIGN.md §9): walks `data/<preset>/`'s
+    /// `path-<id>.json` shards and hands each path's data to `visit` in
+    /// catalog order, regenerating through `regenerate_one` every shard
+    /// this binary does not trust. No merged `Dataset` is ever
+    /// materialized — each payload is dropped before the next one
     /// loads, so a 10 000-path preset costs O(one path) resident memory
-    /// (DESIGN.md §15).
+    /// (DESIGN.md §15); `runner::load_or_generate_sharded` is this walk
+    /// plus a collect.
     ///
-    /// `regenerate_one` rebuilds a single untrusted path; the stale set
-    /// fans out across [`rayon::current_num_threads`] workers, each
-    /// worker writing its shard to disk the moment it finishes (shards
-    /// are independent files, so parallel atomic writes cannot
-    /// collide). Because every path is a pure function of (preset,
-    /// config), the shard bytes are identical no matter how many
-    /// workers ran — `shard_pin.rs` pins multi-worker against
-    /// single-worker output.
+    /// One classify → regenerate → visit cycle:
     ///
-    /// Trusted shards are parsed twice (once to classify, once to
-    /// visit): the price of not holding n payloads, and far cheaper
-    /// than regenerating. Housekeeping matches the batch API: temp
-    /// sweep, orphan removal, manifest refresh, legacy-monolith
-    /// removal.
+    /// 1. **Classify** reads only each shard's envelope prefix: a
+    ///    trusted shard begins with its embedded [`BEHAVIOR_HASH`] and
+    ///    the expected [`shard_fingerprint`] of (preset, path config),
+    ///    so simulation-code edits invalidate every shard while preset
+    ///    or catalog changes and cache damage invalidate only the
+    ///    affected ones.
+    /// 2. **Regenerate** fans the untrusted set out across
+    ///    [`rayon::current_num_threads`] workers, each writing its shard
+    ///    the moment it finishes (shards are independent files, so
+    ///    parallel atomic writes cannot collide). Every path is a pure
+    ///    function of (preset, config), so the bytes do not depend on the
+    ///    worker count — `shard_pin.rs` pins multi-worker against
+    ///    single-worker output and the walk against `generate()`.
+    /// 3. **Visit** parses each shard once, in full, and re-checks both
+    ///    digests. A shard that fails here — damaged after classify, or
+    ///    a body truncated behind an intact header — is regenerated on
+    ///    the spot, saved, moved from `hits` to `stale`, and its fresh
+    ///    payload visited: cache damage never stops the walk.
+    ///
+    /// Housekeeping on every walk: orphaned atomic-write temp files are
+    /// swept, shards beyond the catalog (a shrunk preset) are removed,
+    /// and the manifest is rewritten when out of date. An error from
+    /// `visit` stops the walk and is returned as is.
     pub fn for_each_path_sharded<G, V>(
         dir: &FsPath,
         preset: &Preset,
@@ -510,21 +324,22 @@ impl Dataset {
         sweep_stale_temps(dir);
         remove_orphan_shards(dir, catalog.len());
 
+        let fingerprints: Vec<String> = catalog
+            .iter()
+            .map(|config| shard_fingerprint(preset, config))
+            .collect();
         let mut stats = ShardStats::default();
         let mut stale_ids: Vec<usize> = Vec::new();
-        for (id, config) in catalog.iter().enumerate() {
-            let expected = shard_fingerprint(preset, config);
-            match load_shard(&dir.join(shard_file_name(id))) {
-                Ok(shard) if shard_trusted(&shard, &expected) => stats.hits += 1,
-                Ok(_) => {
-                    stats.stale += 1;
-                    stale_ids.push(id);
-                }
+        for (id, fingerprint) in fingerprints.iter().enumerate() {
+            match header_trusted(&dir.join(shard_file_name(id)), fingerprint) {
+                Ok(true) => stats.hits += 1,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {
                     stats.missing += 1;
                     stale_ids.push(id);
                 }
-                Err(_) => {
+                // Generated by different simulation code or a different
+                // (preset, config), or too short to hold an envelope.
+                _ => {
                     stats.stale += 1;
                     stale_ids.push(id);
                 }
@@ -560,12 +375,32 @@ impl Dataset {
             gen_scope.stop();
             outcomes.into_iter().collect::<io::Result<()>>()?;
         }
-        write_manifest_if_changed(dir, preset, catalog)?;
-        remove_legacy_monolith(dir, preset);
+        write_manifest_if_changed(dir, preset, &fingerprints)?;
 
-        for id in 0..catalog.len() {
-            let shard = load_shard(&dir.join(shard_file_name(id)))?;
-            visit(id, &shard.path)?;
+        for (id, fingerprint) in fingerprints.iter().enumerate() {
+            let shard_path = dir.join(shard_file_name(id));
+            let path = match load_shard(&shard_path) {
+                Ok(shard) if shard_trusted(&shard, fingerprint) => shard.path,
+                damaged => {
+                    let why = damaged.map_or_else(|e| e.to_string(), |_| "digest mismatch".into());
+                    eprintln!(
+                        "# dataset '{}': {} unusable at visit ({why}); regenerating it",
+                        preset.name,
+                        shard_path.display()
+                    );
+                    if stale_ids.binary_search(&id).is_err() {
+                        stats.hits -= 1;
+                        stats.stale += 1;
+                    }
+                    obs::add("testbed.traces", preset.traces_per_path as u64);
+                    let mut gen_scope = obs::time_scope("testbed.generate_wall");
+                    let fresh = regenerate_one(id);
+                    gen_scope.stop();
+                    save_shard(dir, id, preset, &fresh)?;
+                    fresh
+                }
+            };
+            visit(id, &path)?;
         }
         Ok(stats)
     }
@@ -581,16 +416,20 @@ pub fn shard_file_name(id: usize) -> String {
     format!("path-{id}.json")
 }
 
-/// Per-shard outcome counts of one [`Dataset::load_or_generate_sharded`]
-/// call: how much of the cache was reusable and why the rest was not.
+/// Per-shard outcome counts of one [`Dataset::for_each_path_sharded`]
+/// walk: how much of the cache was reusable and why the rest was not.
+/// A shard whose envelope passed classify but whose full parse failed
+/// at visit counts as `stale`, not as a hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ShardStats {
-    /// Shards loaded from disk (behavior hash and fingerprint matched).
+    /// Shards loaded from disk (behavior hash and fingerprint matched,
+    /// and the payload parsed).
     pub hits: usize,
     /// Shards with no file on disk.
     pub missing: usize,
     /// Shards present but untrusted: behavior-hash or fingerprint
-    /// mismatch, or unparseable JSON.
+    /// mismatch, a short or unreadable envelope, or a payload that did
+    /// not parse at visit.
     pub stale: usize,
 }
 
@@ -607,7 +446,9 @@ impl ShardStats {
 }
 
 /// The on-disk envelope of one shard: one path's data plus everything
-/// needed to decide whether this binary can trust it.
+/// needed to decide whether this binary can trust it. Field order is
+/// load-bearing: the compact writer emits both digests ahead of the
+/// payload, which is what lets classify read only [`trusted_prefix`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ShardFile {
     /// [`BEHAVIOR_HASH`] at generation time.
@@ -677,25 +518,32 @@ fn shard_trusted(shard: &ShardFile, expected_fingerprint: &str) -> bool {
     shard.behavior_hash == BEHAVIOR_HASH && shard.config_fingerprint == expected_fingerprint
 }
 
+/// The bytes a trusted shard begins with: `serde_json::to_string` of a
+/// [`ShardFile`] carrying the current [`BEHAVIOR_HASH`] and
+/// `expected_fingerprint`, up to the start of the payload (83 bytes —
+/// both digests are 16 hex digits).
+fn trusted_prefix(expected_fingerprint: &str) -> String {
+    format!(
+        "{{\"behavior_hash\":\"{BEHAVIOR_HASH}\",\"config_fingerprint\":\"{expected_fingerprint}\",\"path\":"
+    )
+}
+
+/// Classifies the shard at `path` from its envelope prefix alone:
+/// `Ok(true)` when it begins with [`trusted_prefix`], `Ok(false)` when
+/// it begins with anything else, and an error when it cannot be opened
+/// (`NotFound`: missing) or is too short to hold the prefix. The payload
+/// is not read; the visit's full parse re-checks both digests.
+fn header_trusted(path: &FsPath, expected_fingerprint: &str) -> io::Result<bool> {
+    let prefix = trusted_prefix(expected_fingerprint);
+    let mut head = vec![0u8; prefix.len()];
+    fs::File::open(path)?.read_exact(&mut head)?;
+    Ok(head == prefix.as_bytes())
+}
+
 /// Loads one shard envelope.
 fn load_shard(path: &FsPath) -> io::Result<ShardFile> {
     let json = fs::read_to_string(path)?;
     serde_json::from_str(&json).map_err(io::Error::other)
-}
-
-/// Removes a monolithic `<dir>.json` cache predating the shard format.
-/// It is treated as fully stale — its contents are never consulted —
-/// and dropped once the sharded cache is in place.
-fn remove_legacy_monolith(dir: &FsPath, preset: &Preset) {
-    let legacy = dir.with_extension("json");
-    if legacy.is_file() {
-        eprintln!(
-            "# dataset '{}': removing legacy monolithic cache {}",
-            preset.name,
-            legacy.display()
-        );
-        let _ = fs::remove_file(&legacy);
-    }
 }
 
 /// Saves one shard atomically, embedding the current behavior hash and
@@ -716,18 +564,18 @@ fn save_shard(dir: &FsPath, id: usize, preset: &Preset, data: &PathData) -> io::
 fn write_manifest_if_changed(
     dir: &FsPath,
     preset: &Preset,
-    catalog: &[PathConfig],
+    fingerprints: &[String],
 ) -> io::Result<()> {
     let manifest = Manifest {
         behavior_hash: BEHAVIOR_HASH.to_string(),
         preset: preset.clone(),
-        shards: catalog
+        shards: fingerprints
             .iter()
             .enumerate()
-            .map(|(id, config)| ManifestEntry {
+            .map(|(id, fingerprint)| ManifestEntry {
                 id,
                 file: shard_file_name(id),
-                config_fingerprint: shard_fingerprint(preset, config),
+                config_fingerprint: fingerprint.clone(),
             })
             .collect(),
     };
@@ -974,107 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn save_and_load_round_trip() {
-        let dir = std::env::temp_dir().join("tputpred-test-data");
-        let file = dir.join("ds.json");
-        let ds = dataset();
-        ds.save(&file).unwrap();
-        let loaded = Dataset::load(&file).unwrap();
-        assert_eq!(ds, loaded);
-        std::fs::remove_file(&file).unwrap();
-    }
-
-    #[test]
-    fn load_or_generate_generates_once() {
-        let dir = std::env::temp_dir().join("tputpred-test-data2");
-        let file = dir.join(format!("ds-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&file);
-        let mut calls = 0;
-        let ds = Dataset::load_or_generate(&file, || {
-            calls += 1;
-            dataset()
-        })
-        .unwrap();
-        assert_eq!(calls, 1);
-        let again = Dataset::load_or_generate(&file, || panic!("cached")).unwrap();
-        assert_eq!(ds, again);
-        std::fs::remove_file(&file).unwrap();
-    }
-
-    #[test]
-    fn stale_behavior_hash_triggers_regeneration() {
-        let dir = std::env::temp_dir().join("tputpred-test-data3");
-        let file = dir.join(format!("ds-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&file);
-        // A cache written by "different simulation code": same payload,
-        // different hash.
-        dataset().save_with_hash(&file, "0123456789abcdef").unwrap();
-        let mut calls = 0;
-        let ds = Dataset::load_or_generate(&file, || {
-            calls += 1;
-            dataset()
-        })
-        .unwrap();
-        assert_eq!(calls, 1, "stale cache must regenerate");
-        // The rewritten cache carries the current hash: hit next time.
-        let again = Dataset::load_or_generate(&file, || panic!("cached")).unwrap();
-        assert_eq!(ds, again);
-        std::fs::remove_file(&file).unwrap();
-    }
-
-    #[test]
-    fn unparseable_cache_triggers_regeneration() {
-        let dir = std::env::temp_dir().join("tputpred-test-data4");
-        let file = dir.join(format!("ds-{}.json", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        // The pre-hash format: a bare Dataset with no envelope.
-        std::fs::write(&file, "{\"preset\": {}, \"paths\": []}").unwrap();
-        let mut calls = 0;
-        Dataset::load_or_generate(&file, || {
-            calls += 1;
-            dataset()
-        })
-        .unwrap();
-        assert_eq!(calls, 1, "legacy cache must regenerate");
-        std::fs::remove_file(&file).unwrap();
-    }
-
-    #[test]
-    fn truncated_cache_triggers_regeneration() {
-        // A cache cut off mid-write (the pre-atomic-save hazard): the
-        // loader must treat it as stale, not return an error.
-        let dir = std::env::temp_dir().join("tputpred-test-data5");
-        let file = dir.join(format!("ds-{}.json", std::process::id()));
-        let valid_file = dir.join(format!("full-{}.json", std::process::id()));
-        dataset().save(&valid_file).unwrap();
-        let full = std::fs::read_to_string(&valid_file).unwrap();
-        std::fs::write(&file, &full[..full.len() / 2]).unwrap();
-        let mut calls = 0;
-        let ds = Dataset::load_or_generate(&file, || {
-            calls += 1;
-            dataset()
-        })
-        .unwrap();
-        assert_eq!(calls, 1, "truncated cache must regenerate");
-        assert_eq!(ds, dataset());
-        std::fs::remove_file(&file).unwrap();
-        std::fs::remove_file(&valid_file).unwrap();
-    }
-
-    #[test]
-    fn save_leaves_no_temp_files_behind() {
-        let dir = std::env::temp_dir().join(format!("tputpred-test-data6-{}", std::process::id()));
-        let file = dir.join("ds.json");
-        dataset().save(&file).unwrap();
-        let entries: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(entries, vec!["ds.json"], "only the renamed cache remains");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn behavior_hash_is_a_hex_digest() {
         assert_eq!(BEHAVIOR_HASH.len(), 16);
         assert!(BEHAVIOR_HASH.bytes().all(|b| b.is_ascii_hexdigit()));
@@ -1084,49 +831,6 @@ mod tests {
     /// the pid alone does not discriminate).
     fn scratch(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("tputpred-{}-{}", tag, std::process::id()))
-    }
-
-    #[test]
-    fn stale_temp_file_is_swept_on_load() {
-        let dir = scratch("temp-sweep");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("ds.json");
-        // Plant the crash leftover *before* the cache exists, then save:
-        // the temp's mtime is <= the cache's, exactly the state a crash
-        // between write and rename leaves after a later successful save.
-        let temp = dir.join(format!(".ds.json.tmp.{}", std::process::id() + 1));
-        std::fs::write(&temp, "{\"partial\":").unwrap();
-        dataset().save(&file).unwrap();
-        assert!(temp.is_file(), "precondition: leftover planted");
-        let loaded = Dataset::load_or_generate(&file, || panic!("cached")).unwrap();
-        assert_eq!(loaded, dataset());
-        assert!(!temp.exists(), "stale temp must be swept on load");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn temp_newer_than_cache_survives_the_sweep() {
-        let dir = scratch("temp-keep");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("ds.json");
-        dataset().save(&file).unwrap();
-        // Rewind the cache's mtime so the temp planted next is strictly
-        // newer — the signature of a concurrent writer's in-flight file.
-        let old = std::fs::FileTimes::new()
-            .set_modified(std::time::UNIX_EPOCH + std::time::Duration::from_secs(1));
-        std::fs::File::options()
-            .append(true)
-            .open(&file)
-            .unwrap()
-            .set_times(old)
-            .unwrap();
-        let temp = dir.join(format!(".ds.json.tmp.{}", std::process::id() + 1));
-        std::fs::write(&temp, "{\"in-flight\":").unwrap();
-        let _ = Dataset::load_or_generate(&file, || panic!("cached")).unwrap();
-        assert!(temp.is_file(), "an in-flight temp must not be swept");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1159,186 +863,258 @@ mod tests {
         }
     }
 
-    /// The canonical fake regeneration: path `i` gets throughput
-    /// `(i+1) MHz` so shards are distinguishable.
-    fn regen(catalog: &[PathConfig]) -> impl FnOnce(&[usize]) -> Vec<PathData> + '_ {
-        |ids| {
-            ids.iter()
-                .map(|&i| path_data(&catalog[i], (i as f64 + 1.0) * 1e6))
-                .collect()
+    fn stats(hits: usize, missing: usize, stale: usize) -> ShardStats {
+        ShardStats {
+            hits,
+            missing,
+            stale,
         }
     }
 
+    /// What one walk did: its counts, the ids it regenerated (sorted —
+    /// the fan-out finishes in any order), and what it visited.
+    struct Walk {
+        stats: ShardStats,
+        regenerated: Vec<usize>,
+        visited: Vec<(usize, PathData)>,
+    }
+
+    /// Walks `dir` with the canonical fake regeneration: path `i` gets
+    /// throughput `(i+1) MHz` so shards are distinguishable.
+    fn walk(dir: &FsPath, preset: &Preset, catalog: &[PathConfig]) -> Walk {
+        let regenerated = std::sync::Mutex::new(Vec::new());
+        let mut visited = Vec::new();
+        let stats = Dataset::for_each_path_sharded(
+            dir,
+            preset,
+            catalog,
+            |id| {
+                regenerated.lock().unwrap().push(id);
+                path_data(&catalog[id], (id as f64 + 1.0) * 1e6)
+            },
+            |id, p| {
+                visited.push((id, p.clone()));
+                Ok(())
+            },
+        )
+        .unwrap();
+        let mut regenerated = regenerated.into_inner().unwrap();
+        regenerated.sort_unstable();
+        Walk {
+            stats,
+            regenerated,
+            visited,
+        }
+    }
+
+    /// A fresh scratch shard directory holding a cold walk's shards.
+    fn warm_dir(tag: &str, catalog: &[PathConfig]) -> std::path::PathBuf {
+        let dir = scratch(tag);
+        let _ = std::fs::remove_dir_all(&dir);
+        walk(&dir, &Preset::tiny(), catalog);
+        dir
+    }
+
     #[test]
-    fn sharded_cold_load_generates_then_warm_load_hits() {
+    fn cold_walk_generates_then_warm_walk_hits() {
         let dir = scratch("shard-cold");
         let _ = std::fs::remove_dir_all(&dir);
         let preset = Preset::tiny();
         let catalog = shard_catalog();
-        let (ds, stats) =
-            Dataset::load_or_generate_sharded(&dir, &preset, &catalog, regen(&catalog)).unwrap();
-        assert_eq!(
-            stats,
-            ShardStats {
-                hits: 0,
-                missing: 3,
-                stale: 0
-            }
-        );
-        assert_eq!(stats.regenerated(), 3);
-        assert_eq!(ds.paths.len(), 3);
+        let cold = walk(&dir, &preset, &catalog);
+        assert_eq!(cold.stats, stats(0, 3, 0));
+        assert_eq!(cold.stats.regenerated(), 3);
+        assert_eq!(cold.regenerated, vec![0, 1, 2]);
+        let expected: Vec<(usize, PathData)> = (0..3)
+            .map(|id| (id, path_data(&catalog[id], (id as f64 + 1.0) * 1e6)))
+            .collect();
+        assert_eq!(cold.visited, expected, "visits arrive in catalog order");
         for id in 0..3 {
             assert!(dir.join(shard_file_name(id)).is_file());
         }
         assert!(dir.join(SHARD_MANIFEST).is_file());
-        let (warm, warm_stats) =
-            Dataset::load_or_generate_sharded(&dir, &preset, &catalog, |_| panic!("cached"))
-                .unwrap();
-        assert_eq!(
-            warm_stats,
-            ShardStats {
-                hits: 3,
-                missing: 0,
-                stale: 0
-            }
-        );
-        assert_eq!(ds, warm, "warm load reassembles the identical dataset");
+
+        let warm = walk(&dir, &preset, &catalog);
+        assert_eq!(warm.stats, stats(3, 0, 0));
+        assert!(warm.regenerated.is_empty(), "warm walk must not regenerate");
+        assert_eq!(warm.visited, expected, "warm walk reads the identical data");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn corrupt_shard_regenerates_only_itself() {
-        let dir = scratch("shard-corrupt");
-        let _ = std::fs::remove_dir_all(&dir);
-        let preset = Preset::tiny();
+    fn classify_prefix_is_what_the_serializer_writes() {
+        // Classify trusts a shard on its first bytes alone. Should the
+        // serializer ever reorder or space the envelope, every warm walk
+        // would silently become a full regeneration — this pins it.
         let catalog = shard_catalog();
-        Dataset::load_or_generate_sharded(&dir, &preset, &catalog, regen(&catalog)).unwrap();
-        std::fs::write(dir.join(shard_file_name(1)), "{\"trunc").unwrap();
-        let mut asked = Vec::new();
-        let (ds, stats) = Dataset::load_or_generate_sharded(&dir, &preset, &catalog, |ids| {
-            asked = ids.to_vec();
-            ids.iter()
-                .map(|&i| path_data(&catalog[i], (i as f64 + 1.0) * 1e6))
-                .collect()
-        })
-        .unwrap();
-        assert_eq!(asked, vec![1], "only the damaged shard regenerates");
-        assert_eq!(
-            stats,
-            ShardStats {
-                hits: 2,
-                missing: 0,
-                stale: 1
-            }
+        let fingerprint = shard_fingerprint(&Preset::tiny(), &catalog[0]);
+        let shard = ShardFile {
+            behavior_hash: BEHAVIOR_HASH.to_string(),
+            config_fingerprint: fingerprint.clone(),
+            path: path_data(&catalog[0], 1e6),
+        };
+        let json = serde_json::to_string(&shard).unwrap();
+        let prefix = trusted_prefix(&fingerprint);
+        assert_eq!(prefix.len(), 83);
+        assert!(
+            json.starts_with(&prefix),
+            "envelope {} does not start with {prefix}",
+            &json[..prefix.len().min(json.len())]
         );
-        assert_eq!(ds.paths.len(), 3);
+    }
+
+    #[test]
+    fn corrupt_shard_regenerates_only_itself() {
+        // Header intact, body cut off: classify trusts the shard, the
+        // visit's full parse does not — it regenerates there, alone.
+        let catalog = shard_catalog();
+        let dir = warm_dir("shard-corrupt", &catalog);
+        let shard = dir.join(shard_file_name(1));
+        let full = std::fs::read(&shard).unwrap();
+        std::fs::write(&shard, &full[..full.len() / 2]).unwrap();
+        let w = walk(&dir, &Preset::tiny(), &catalog);
+        assert_eq!(w.regenerated, vec![1], "only the damaged shard regenerates");
+        assert_eq!(w.stats, stats(2, 0, 1));
+        assert_eq!(w.visited.len(), 3);
+        assert_eq!(
+            std::fs::read(&shard).unwrap(),
+            full,
+            "shard rewritten whole"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn deleted_shard_counts_missing_and_regenerates() {
-        let dir = scratch("shard-missing");
-        let _ = std::fs::remove_dir_all(&dir);
-        let preset = Preset::tiny();
         let catalog = shard_catalog();
-        Dataset::load_or_generate_sharded(&dir, &preset, &catalog, regen(&catalog)).unwrap();
+        let dir = warm_dir("shard-missing", &catalog);
         std::fs::remove_file(dir.join(shard_file_name(2))).unwrap();
-        let (_, stats) =
-            Dataset::load_or_generate_sharded(&dir, &preset, &catalog, regen(&catalog)).unwrap();
-        assert_eq!(
-            stats,
-            ShardStats {
-                hits: 2,
-                missing: 1,
-                stale: 0
-            }
-        );
+        let w = walk(&dir, &Preset::tiny(), &catalog);
+        assert_eq!(w.regenerated, vec![2]);
+        assert_eq!(w.stats, stats(2, 1, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stale_behavior_hash_triggers_regeneration() {
+        // A shard written by "different simulation code": same payload,
+        // a different hash in its envelope.
+        let catalog = shard_catalog();
+        let dir = warm_dir("shard-hash", &catalog);
+        let shard = dir.join(shard_file_name(0));
+        let json = std::fs::read_to_string(&shard).unwrap();
+        let other = if BEHAVIOR_HASH == "0123456789abcdef" {
+            "fedcba9876543210"
+        } else {
+            "0123456789abcdef"
+        };
+        std::fs::write(&shard, json.replacen(BEHAVIOR_HASH, other, 1)).unwrap();
+        let w = walk(&dir, &Preset::tiny(), &catalog);
+        assert_eq!(w.regenerated, vec![0], "stale shard must regenerate");
+        assert_eq!(w.stats, stats(2, 0, 1));
+        // The rewritten shard carries the current hash: hit next time.
+        assert_eq!(walk(&dir, &Preset::tiny(), &catalog).stats, stats(3, 0, 0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn config_change_invalidates_only_that_shard() {
-        let dir = scratch("shard-config");
-        let _ = std::fs::remove_dir_all(&dir);
-        let preset = Preset::tiny();
         let mut catalog = shard_catalog();
-        Dataset::load_or_generate_sharded(&dir, &preset, &catalog, regen(&catalog)).unwrap();
+        let dir = warm_dir("shard-config", &catalog);
         catalog[2].capacity_bps *= 2.0;
-        let mut asked = Vec::new();
-        let (_, stats) = Dataset::load_or_generate_sharded(&dir, &preset, &catalog, |ids| {
-            asked = ids.to_vec();
-            ids.iter()
-                .map(|&i| path_data(&catalog[i], (i as f64 + 1.0) * 1e6))
-                .collect()
-        })
-        .unwrap();
-        assert_eq!(asked, vec![2]);
-        assert_eq!(
-            stats,
-            ShardStats {
-                hits: 2,
-                missing: 0,
-                stale: 1
-            }
-        );
+        let w = walk(&dir, &Preset::tiny(), &catalog);
+        assert_eq!(w.regenerated, vec![2]);
+        assert_eq!(w.stats, stats(2, 0, 1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn preset_change_invalidates_every_shard() {
-        let dir = scratch("shard-preset");
-        let _ = std::fs::remove_dir_all(&dir);
         let catalog = shard_catalog();
-        Dataset::load_or_generate_sharded(&dir, &Preset::tiny(), &catalog, regen(&catalog))
-            .unwrap();
+        let dir = warm_dir("shard-preset", &catalog);
         let changed = Preset {
             seed: Preset::tiny().seed + 1,
             ..Preset::tiny()
         };
-        let (_, stats) =
-            Dataset::load_or_generate_sharded(&dir, &changed, &catalog, regen(&catalog)).unwrap();
-        assert_eq!(
-            stats,
-            ShardStats {
-                hits: 0,
-                missing: 0,
-                stale: 3
-            }
-        );
+        let w = walk(&dir, &changed, &catalog);
+        assert_eq!(w.regenerated, vec![0, 1, 2]);
+        assert_eq!(w.stats, stats(0, 0, 3));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn orphan_shards_beyond_the_catalog_are_removed() {
-        let dir = scratch("shard-orphan");
-        let _ = std::fs::remove_dir_all(&dir);
-        let preset = Preset::tiny();
         let catalog = shard_catalog();
-        Dataset::load_or_generate_sharded(&dir, &preset, &catalog, regen(&catalog)).unwrap();
+        let dir = warm_dir("shard-orphan", &catalog);
         let orphan = dir.join(shard_file_name(7));
         std::fs::write(&orphan, "{}").unwrap();
-        Dataset::load_or_generate_sharded(&dir, &preset, &catalog, |_| panic!("cached")).unwrap();
+        let w = walk(&dir, &Preset::tiny(), &catalog);
+        assert!(w.regenerated.is_empty());
         assert!(!orphan.exists(), "shards past the catalog must be removed");
         assert!(dir.join(shard_file_name(2)).is_file(), "live shards stay");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn legacy_monolithic_cache_is_removed_after_sharded_load() {
-        let base = scratch("shard-legacy");
-        let _ = std::fs::remove_dir_all(&base);
-        std::fs::create_dir_all(&base).unwrap();
-        let dir = base.join("tiny");
-        let legacy = base.join("tiny.json");
-        dataset().save(&legacy).unwrap();
+    fn walk_leaves_no_temp_files_behind() {
         let catalog = shard_catalog();
-        let (ds, stats) =
-            Dataset::load_or_generate_sharded(&dir, &Preset::tiny(), &catalog, regen(&catalog))
-                .unwrap();
-        assert_eq!(stats.regenerated(), 3, "legacy cache is never consulted");
-        assert_eq!(ds.paths.len(), 3);
-        assert!(!legacy.exists(), "superseded monolith must be removed");
-        std::fs::remove_dir_all(&base).unwrap();
+        let dir = warm_dir("shard-no-temps", &catalog);
+        let mut entries: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        entries.sort();
+        assert_eq!(
+            entries,
+            vec![SHARD_MANIFEST, "path-0.json", "path-1.json", "path-2.json"],
+            "only the renamed shards and the manifest remain"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stale_temp_file_is_swept_on_walk() {
+        let dir = scratch("temp-sweep");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let catalog = shard_catalog();
+        // Plant the crash leftover *before* its shard exists, then let a
+        // cold walk write the shard: the temp's mtime is <= the shard's,
+        // exactly the state a crash between write and rename leaves
+        // after a later successful save.
+        let temp = dir.join(format!(".path-0.json.tmp.{}", std::process::id() + 1));
+        std::fs::write(&temp, "{\"partial\":").unwrap();
+        walk(&dir, &Preset::tiny(), &catalog);
+        assert!(
+            temp.is_file(),
+            "precondition: leftover outlives the cold walk"
+        );
+        let w = walk(&dir, &Preset::tiny(), &catalog);
+        assert_eq!(w.stats, stats(3, 0, 0));
+        assert!(!temp.exists(), "stale temp must be swept on the next walk");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn temp_newer_than_its_shard_survives_the_sweep() {
+        let catalog = shard_catalog();
+        let dir = warm_dir("temp-keep", &catalog);
+        let shard = dir.join(shard_file_name(0));
+        // Rewind the shard's mtime so the temp planted next is strictly
+        // newer — the signature of a concurrent writer's in-flight file.
+        let old = std::fs::FileTimes::new()
+            .set_modified(std::time::UNIX_EPOCH + std::time::Duration::from_secs(1));
+        std::fs::File::options()
+            .append(true)
+            .open(&shard)
+            .unwrap()
+            .set_times(old)
+            .unwrap();
+        let temp = dir.join(format!(".path-0.json.tmp.{}", std::process::id() + 1));
+        std::fs::write(&temp, "{\"in-flight\":").unwrap();
+        walk(&dir, &Preset::tiny(), &catalog);
+        assert!(temp.is_file(), "an in-flight temp must not be swept");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1406,83 +1182,6 @@ mod tests {
         assert!(dir.join(SHARD_MANIFEST).is_file(), "manifest untouched");
         assert!(temp.is_file(), "atomic temps belong to the temp sweep");
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn streaming_visit_matches_the_batch_load_bit_for_bit() {
-        let dir_stream = scratch("stream-cold");
-        let dir_batch = scratch("stream-batch");
-        let _ = std::fs::remove_dir_all(&dir_stream);
-        let _ = std::fs::remove_dir_all(&dir_batch);
-        let preset = Preset::tiny();
-        let catalog = shard_catalog();
-
-        let mut visited: Vec<(usize, PathData)> = Vec::new();
-        let stats = Dataset::for_each_path_sharded(
-            &dir_stream,
-            &preset,
-            &catalog,
-            |id| path_data(&catalog[id], (id as f64 + 1.0) * 1e6),
-            |id, p| {
-                visited.push((id, p.clone()));
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            stats,
-            ShardStats {
-                hits: 0,
-                missing: 3,
-                stale: 0
-            }
-        );
-        assert_eq!(
-            visited.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
-            vec![0, 1, 2],
-            "visits arrive in catalog order"
-        );
-
-        let (batch, _) =
-            Dataset::load_or_generate_sharded(&dir_batch, &preset, &catalog, regen(&catalog))
-                .unwrap();
-        for (id, p) in &visited {
-            assert_eq!(p, &batch.paths[*id], "streamed payload diverged");
-        }
-        for id in 0..catalog.len() {
-            assert_eq!(
-                std::fs::read(dir_stream.join(shard_file_name(id))).unwrap(),
-                std::fs::read(dir_batch.join(shard_file_name(id))).unwrap(),
-                "shard {id} bytes diverged between streaming and batch"
-            );
-        }
-        assert!(dir_stream.join(SHARD_MANIFEST).is_file());
-
-        // Warm pass: nothing regenerates, same visits.
-        let mut warm_ids = Vec::new();
-        let warm_stats = Dataset::for_each_path_sharded(
-            &dir_stream,
-            &preset,
-            &catalog,
-            |_| panic!("warm pass must not regenerate"),
-            |id, _| {
-                warm_ids.push(id);
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            warm_stats,
-            ShardStats {
-                hits: 3,
-                missing: 0,
-                stale: 0
-            }
-        );
-        assert_eq!(warm_ids, vec![0, 1, 2]);
-
-        std::fs::remove_dir_all(&dir_stream).unwrap();
-        std::fs::remove_dir_all(&dir_batch).unwrap();
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //!   bursts, truncated/failed transfers, and whole missing epochs — the
 //!   failure modes of the real RON testbed (DESIGN.md §10).
 //! * [`data`] — the dataset model ([`data::EpochRecord`],
-//!   [`data::Dataset`]) with JSON persistence, so every figure binary
-//!   reuses one generated dataset instead of re-simulating. Degraded
+//!   [`data::Dataset`]) with a per-path JSON shard cache, so every
+//!   figure binary reuses one generated dataset instead of re-simulating. Degraded
 //!   epochs carry a [`data::EpochStatus`] and `None` measurements;
 //!   [`data::Dataset::complete_epochs`] yields only the fully-measured
 //!   ones, as the paper's own post-processing did.
@@ -40,9 +40,8 @@
 /// probes, testbed) whose code decides what a generated dataset
 /// contains. Cached datasets are pure functions of (preset, seed,
 /// simulator code); the first two are fingerprinted per shard, and
-/// this digest covers the third so
-/// [`data::Dataset::load_or_generate_sharded`] (and the legacy
-/// monolithic [`data::Dataset::load_or_generate`]) regenerates caches
+/// this digest covers the third so the shard cache
+/// ([`data::Dataset::for_each_path_sharded`]) regenerates shards
 /// produced by different simulation code — replacing the old "remember
 /// to delete `data/*` after touching netsim/tcp/probes/testbed"
 /// convention with a mechanical check. `build.rs` `include!`s this

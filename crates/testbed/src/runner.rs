@@ -281,7 +281,7 @@ fn flush_trace_telemetry(world: &TraceWorld, trace_len: Time) {
     obs::add("netsim.packets_queued", c.packets_queued);
     obs::add("netsim.packets_dropped", c.packets_dropped);
     obs::add("netsim.packets_delivered", c.packets_delivered);
-    obs::add("netsim.commands_applied", c.commands_applied);
+    obs::add("netsim.endpoint_calls", c.endpoint_calls);
     obs::add("netsim.timer_clamps", c.timer_clamps);
     obs::add("netsim.wheel_scheduled", c.wheel_scheduled);
     obs::add("netsim.overflow_scheduled", c.overflow_scheduled);
@@ -566,9 +566,10 @@ pub fn catalog_for(preset: &Preset) -> Vec<PathConfig> {
 /// so generating paths one at a time and merging is bit-identical to
 /// one full pass (`tests/shard_pin.rs` pins this).
 ///
-/// This is the regeneration entry point of the sharded cache
-/// ([`load_or_generate_sharded`]); [`generate`] is the
-/// whole-catalog special case.
+/// Trace-level fan-out for uncached generation: [`generate`] is the
+/// whole-catalog special case and [`generate_each`] walks the catalog in
+/// chunks of it. The shard cache regenerates per path instead, through
+/// [`generate_path`].
 pub fn generate_paths(preset: &Preset, catalog: &[PathConfig], indices: &[usize]) -> Vec<PathData> {
     if indices.is_empty() {
         return Vec::new();
@@ -618,35 +619,25 @@ pub fn generate(preset: &Preset) -> Dataset {
 }
 
 /// Loads `preset`'s dataset from the sharded cache at `dir`
-/// (`data/<preset>/`), regenerating only the stale, missing, or corrupt
-/// shards via [`generate_paths`]. Returns the merged dataset — bit
-/// identical to [`generate`] — and the shard reuse counts.
-///
-/// Telemetry (observation-only, recorded when profiling is enabled):
-/// `testbed.shards.hit` / `.missing` / `.stale` / `.regenerated`
-/// counters and a `testbed.shard_cache_wall` scope around the whole
-/// load-or-regenerate pass.
+/// (`data/<preset>/`): one [`for_each_path`] walk — which regenerates
+/// only the stale, missing, or corrupt shards — with every visited path
+/// cloned into the merged [`Dataset`]. Returns that dataset — bit
+/// identical to [`generate`] — and the shard reuse counts. Telemetry is
+/// [`for_each_path`]'s.
 pub fn load_or_generate_sharded(
     dir: &std::path::Path,
     preset: &Preset,
 ) -> std::io::Result<(Dataset, crate::data::ShardStats)> {
-    let mut scope = obs::time_scope("testbed.shard_cache_wall");
-    let catalog = catalog_for(preset);
-    let result = Dataset::load_or_generate_sharded(dir, preset, &catalog, |stale| {
-        generate_paths(preset, &catalog, stale)
-    });
-    scope.stop();
-    if let Ok((_, stats)) = &result {
-        record_shard_stats(stats);
-    }
-    result
-}
-
-fn record_shard_stats(stats: &crate::data::ShardStats) {
-    obs::add("testbed.shards.hit", stats.hits as u64);
-    obs::add("testbed.shards.missing", stats.missing as u64);
-    obs::add("testbed.shards.stale", stats.stale as u64);
-    obs::add("testbed.shards.regenerated", stats.regenerated() as u64);
+    let mut paths = Vec::new();
+    let stats = for_each_path(dir, preset, |_, path| {
+        paths.push(path.clone());
+        Ok(())
+    })?;
+    let dataset = Dataset {
+        preset: preset.clone(),
+        paths,
+    };
+    Ok((dataset, stats))
 }
 
 /// Overrides how many workers the parallel generation fan-out uses on
@@ -659,9 +650,10 @@ pub fn set_generation_workers(n: usize) {
 }
 
 /// Generates one path's complete [`PathData`] — every trace, in order,
-/// on the calling thread. The per-shard regeneration unit of the
-/// streaming API; bit-identical to the same path's slice of a full
-/// [`generate`] pass (trace seeds depend only on (path, trace index)).
+/// on the calling thread. The per-shard regeneration unit of the shard
+/// cache ([`for_each_path`]); bit-identical to the same path's slice of
+/// a full [`generate`] pass (trace seeds depend only on (path, trace
+/// index)).
 pub fn generate_path(preset: &Preset, config: &PathConfig) -> PathData {
     PathData {
         config: config.clone(),
@@ -677,10 +669,11 @@ pub fn generate_path(preset: &Preset, config: &PathConfig) -> PathData {
 /// as each finishes — then every shard is loaded, visited, and dropped.
 /// O(one path) resident memory; the 10k-path presets depend on it.
 ///
-/// Telemetry mirrors [`load_or_generate_sharded`]: the same
-/// `testbed.shard_cache_wall` scope, `testbed.shards.*` counters, and
-/// (from inside the streaming core) `testbed.generate_wall` +
-/// `testbed.workers`, plus a `testbed.paths_streamed` counter.
+/// Telemetry (observation-only, recorded when profiling is enabled): a
+/// `testbed.shard_cache_wall` scope around the whole walk, the
+/// `testbed.shards.hit` / `.missing` / `.stale` / `.regenerated`
+/// counters, a `testbed.paths_streamed` counter, and (from inside the
+/// cache core) `testbed.generate_wall` + `testbed.workers`.
 pub fn for_each_path<V>(
     dir: &std::path::Path,
     preset: &Preset,
@@ -703,7 +696,10 @@ where
     );
     scope.stop();
     if let Ok(stats) = &result {
-        record_shard_stats(stats);
+        obs::add("testbed.shards.hit", stats.hits as u64);
+        obs::add("testbed.shards.missing", stats.missing as u64);
+        obs::add("testbed.shards.stale", stats.stale as u64);
+        obs::add("testbed.shards.regenerated", stats.regenerated() as u64);
     }
     result
 }

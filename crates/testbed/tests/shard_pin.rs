@@ -192,37 +192,3 @@ fn multi_worker_generation_is_bit_identical_to_single_worker() {
     fs::remove_dir_all(&dir_one).expect("cleanup");
     fs::remove_dir_all(&dir_four).expect("cleanup");
 }
-
-#[test]
-fn legacy_monolithic_cache_migrates_to_shards() {
-    let preset = pin_preset();
-    let base = scratch("legacy");
-    let _ = fs::remove_dir_all(&base);
-    fs::create_dir_all(&base).expect("scratch dir");
-    let dir = base.join(&preset.name);
-    let legacy = base.join(format!("{}.json", preset.name));
-
-    // A monolithic cache from the pre-shard format — even one written by
-    // this very binary — is fully superseded: every shard regenerates
-    // and the monolith is removed.
-    let reference = generate(&preset);
-    reference.save(&legacy).expect("write legacy cache");
-    let (migrated, stats) = load_or_generate_sharded(&dir, &preset).expect("migrating load");
-    assert_eq!(
-        stats,
-        ShardStats {
-            hits: 0,
-            missing: preset.paths,
-            stale: 0
-        },
-        "legacy cache is treated as fully stale"
-    );
-    assert_eq!(migrated, reference);
-    assert!(!legacy.exists(), "monolithic cache removed after migration");
-    assert!(
-        dir.join(shard_file_name(0)).is_file(),
-        "sharded cache in place"
-    );
-
-    fs::remove_dir_all(&base).expect("cleanup");
-}
