@@ -1,8 +1,8 @@
 //! Benchmarks of the figure-regeneration *analysis* stage: with the
 //! dataset cached, how fast every table/figure of the paper can be
-//! recomputed. (The figure binaries in `src/bin/` do the same work; this
-//! harness times the shared analysis kernels on a synthetic dataset so
-//! `cargo bench` needs no dataset cache.)
+//! recomputed. (The registry entries in `src/figures/` do the same
+//! work; this harness times the shared analysis kernels on a synthetic
+//! dataset so `cargo bench` needs no dataset cache.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -1,13 +1,14 @@
-//! Shared analysis: FB prediction over epoch records, the HB predictor
-//! zoo, per-trace evaluation, dataset caching.
+//! Shared analysis: FB prediction over epoch records, predictor
+//! line-ups (`zoo!`), per-trace evaluation, CDF/correlation summaries,
+//! dataset caching.
 
 use crate::cli::Args;
 use tputpred_core::fb::{FbConfig, FbModel, FbPredictor, PartialEstimates, PathEstimates};
-use tputpred_core::hb::{Ewma, HoltWinters, MovingAverage};
+use tputpred_core::hb::HoltWinters;
 use tputpred_core::lso::{Lso, LsoConfig};
 use tputpred_core::metrics::{self, relative_error_floored};
 use tputpred_core::predictor::EpochObservation;
-use tputpred_stats::{Cdf, CdfError};
+use tputpred_stats::{pearson, quantile, render, spearman, Cdf, CdfError};
 use tputpred_testbed::{
     load_or_generate_sharded, CompleteEpoch, Dataset, EpochRecord, Preset, TraceData,
 };
@@ -16,30 +17,58 @@ use tputpred_testbed::{
 ///
 /// Fault injection (DESIGN.md §10) means a heavily faulted preset can
 /// leave a series with no scoreable epochs, and derived metrics can in
-/// principle go non-finite. This is the figure binaries' filter-or-refuse
+/// principle go non-finite. This is the registry entries' filter-or-refuse
 /// policy in one place: non-finite samples are dropped with a stderr
-/// note, and an empty series terminates the binary with a message naming
-/// the series instead of a panic backtrace.
-pub fn require_cdf<I: IntoIterator<Item = f64>>(label: &str, samples: I) -> Cdf {
+/// note, and an empty series is an error naming the series, which the
+/// entry passes up with `?` so `repro` can name the entry that failed.
+pub fn require_cdf<I: IntoIterator<Item = f64>>(label: &str, samples: I) -> Result<Cdf, String> {
     let all: Vec<f64> = samples.into_iter().collect();
     let finite: Vec<f64> = all.iter().copied().filter(|v| v.is_finite()).collect();
     let dropped = all.len() - finite.len();
     if dropped > 0 {
         eprintln!("# series '{label}': dropped {dropped} non-finite sample(s)");
     }
-    match Cdf::try_from_samples(finite) {
-        Ok(cdf) => cdf,
-        Err(CdfError::Empty) => {
-            eprintln!(
-                "error: series '{label}' has no usable samples (all epochs refused or faulted?)"
-            );
-            std::process::exit(1);
+    Cdf::try_from_samples(finite).map_err(|e| match e {
+        CdfError::Empty => {
+            format!("series '{label}' has no usable samples (all epochs refused or faulted?)")
         }
-        Err(e) => {
-            eprintln!("error: series '{label}': {e}");
-            std::process::exit(1);
-        }
-    }
+        e => format!("series '{label}': {e}"),
+    })
+}
+
+/// Appends the CDF of `samples` to `out` as the series `name`, sampled
+/// at `points` rows ([`render::cdf_series`]), and returns it for the
+/// figure's summary line; errors as [`require_cdf`] does.
+pub(crate) fn push_cdf(
+    out: &mut String,
+    name: &str,
+    samples: &[f64],
+    points: usize,
+) -> Result<Cdf, String> {
+    let cdf = require_cdf(name, samples.iter().copied())?;
+    out.push_str(&render::cdf_series(name, &cdf, points));
+    Ok(cdf)
+}
+
+/// `pearson_r=<r> spearman_r=<ρ>` over a scatter's columns, `n/a`
+/// where a coefficient is undefined — the summary line of the
+/// correlation figures (Figs. 9, 10, 20).
+pub(crate) fn correlations(points: &[(f64, f64)]) -> String {
+    let (xs, ys): (Vec<f64>, Vec<f64>) = points.iter().copied().unzip();
+    format!(
+        "pearson_r={} spearman_r={}",
+        pearson(&xs, &ys).map_or("n/a".into(), render::f),
+        spearman(&xs, &ys).map_or("n/a".into(), render::f)
+    )
+}
+
+/// A quantile-table row: `label`, then the `qs` quantiles of `samples`
+/// rendered with [`render::f`] (`NaN` for an empty sample).
+pub(crate) fn quantile_row(label: &str, samples: &[f64], qs: &[f64]) -> Vec<String> {
+    let cells = qs
+        .iter()
+        .map(|&q| render::f(quantile(samples, q).unwrap_or(f64::NAN)));
+    std::iter::once(label.to_string()).chain(cells).collect()
 }
 
 /// A heap predictor — everything in the zoo is `Send` so evaluation can
@@ -47,25 +76,33 @@ pub fn require_cdf<I: IntoIterator<Item = f64>>(label: &str, samples: I) -> Cdf 
 /// out.)
 pub use tputpred_core::catalog::BoxedPredictor;
 
-/// A fresh-predictor constructor, so figure binaries can re-run a
+/// A fresh-predictor constructor, so figure entries can re-run a
 /// predictor from scratch per trace.
 pub type PredictorCtor = fn() -> BoxedPredictor;
 
-/// A labelled predictor line-up, as the figure binaries tabulate them.
+/// A labelled predictor line-up, as the figure entries tabulate them.
 pub type PredictorZoo = Vec<(&'static str, PredictorCtor)>;
+
+/// A [`PredictorZoo`] from `"label" => constructor` pairs; the
+/// constructor expression runs afresh each time the entry is called.
+macro_rules! zoo {
+    ($($label:literal => $make:expr),* $(,)?) => {
+        vec![$(($label, (|| Box::new($make) as $crate::BoxedPredictor) as $crate::PredictorCtor)),*]
+    };
+}
 
 /// Loads the dataset for `args` from the per-path shard cache
 /// (`<data_dir>/<preset>/`), regenerating only the shards the running
 /// binary no longer trusts — missing, corrupt, or written by different
 /// simulation code or a different (preset, config) (see
 /// `tputpred_testbed::behavior_hash` and DESIGN.md §9). Regeneration
-/// parallelizes across cores; progress goes to stderr so figure output
-/// on stdout stays clean.
-pub fn load_dataset(args: &Args) -> Dataset {
+/// parallelizes across cores; progress goes to stderr. An I/O error is
+/// returned naming the cache directory.
+pub fn load_dataset(args: &Args) -> Result<Dataset, String> {
     let dir = args.shard_dir();
     load_or_generate_sharded(&dir, &args.preset)
-        .unwrap_or_else(|e| panic!("dataset at {}: {e}", dir.display()))
-        .0
+        .map(|(ds, _)| ds)
+        .map_err(|e| format!("dataset at {}: {e}", dir.display()))
 }
 
 /// The column set of the epoch CSV export (`export_csv`), in order.
@@ -224,35 +261,16 @@ pub fn fb_error(fb: &FbPredictor, rec: &CompleteEpoch) -> f64 {
     relative_error_floored(fb.predict(&a_priori(rec)), rec.r_large)
 }
 
-/// The standard predictor zoo of the HB evaluation (§6.1.1):
-/// `(label, constructor)` pairs.
-pub fn hb_zoo() -> PredictorZoo {
-    vec![
-        ("1-MA", || Box::new(MovingAverage::new(1)) as BoxedPredictor),
-        ("5-MA", || Box::new(MovingAverage::new(5)) as BoxedPredictor),
-        ("10-MA", || {
-            Box::new(MovingAverage::new(10)) as BoxedPredictor
-        }),
-        ("20-MA", || {
-            Box::new(MovingAverage::new(20)) as BoxedPredictor
-        }),
-        ("0.8-EWMA", || Box::new(Ewma::new(0.8)) as BoxedPredictor),
-        ("0.8-HW", || {
-            Box::new(HoltWinters::new(0.8, 0.2)) as BoxedPredictor
-        }),
-        ("5-MA-LSO", || {
-            Box::new(Lso::new(MovingAverage::new(5))) as BoxedPredictor
-        }),
-        ("10-MA-LSO", || {
-            Box::new(Lso::new(MovingAverage::new(10))) as BoxedPredictor
-        }),
-        ("20-MA-LSO", || {
-            Box::new(Lso::new(MovingAverage::new(20))) as BoxedPredictor
-        }),
-        ("0.8-HW-LSO", || {
-            Box::new(Lso::new(HoltWinters::new(0.8, 0.2))) as BoxedPredictor
-        }),
-    ]
+/// RMSRE of the FB predictions (Eq. 4 errors) over a trace's complete
+/// epochs; `None` when no epoch is complete.
+pub fn fb_trace_rmsre(fb: &FbPredictor, trace: &TraceData) -> Option<f64> {
+    let errors: Vec<f64> = trace
+        .records
+        .iter()
+        .filter_map(|rec| rec.complete())
+        .map(|rec| fb_error(fb, &rec))
+        .collect();
+    metrics::rmsre(&errors)
 }
 
 /// The paper's headline HB predictor: Holt-Winters(α = 0.8, β = 0.2)
@@ -293,6 +311,7 @@ pub fn cov_per_trace(dataset: &Dataset) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tputpred_core::hb::MovingAverage;
     use tputpred_testbed::{PathData, TraceData};
 
     fn record(p_hat: f64, r: f64) -> EpochRecord {
@@ -374,13 +393,14 @@ mod tests {
 
     #[test]
     fn zoo_contains_the_papers_predictors() {
-        let names: Vec<&str> = hb_zoo().iter().map(|(n, _)| *n).collect();
+        let zoo = crate::figures::fig15_pathologies::zoo();
+        let names: Vec<&str> = zoo.iter().map(|(n, _)| *n).collect();
         for expected in ["1-MA", "10-MA", "0.8-EWMA", "0.8-HW", "0.8-HW-LSO"] {
             assert!(names.contains(&expected), "missing {expected}");
         }
         // Constructors produce predictors with matching self-reported
         // names.
-        for (label, make) in hb_zoo() {
+        for (label, make) in zoo {
             assert_eq!(make().name(), label);
         }
     }
@@ -417,6 +437,27 @@ mod tests {
         let rmsres = rmsre_per_trace(&ds, || Box::new(MovingAverage::new(10)));
         assert_eq!(rmsres.len(), 1);
         assert!(rmsres[0] < 0.1, "nearly constant series: {}", rmsres[0]);
+    }
+
+    #[test]
+    fn require_cdf_refuses_an_empty_series_by_name() {
+        let err = require_cdf("rtt_increase_ms", Vec::new()).unwrap_err();
+        assert!(err.contains("'rtt_increase_ms'"), "{err}");
+        assert!(err.contains("no usable samples"), "{err}");
+    }
+
+    #[test]
+    fn require_cdf_refuses_an_all_non_finite_series() {
+        let err =
+            require_cdf("fb_error", [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]).unwrap_err();
+        assert!(err.contains("'fb_error'"), "{err}");
+        assert!(err.contains("no usable samples"), "{err}");
+    }
+
+    #[test]
+    fn require_cdf_drops_non_finite_samples_and_keeps_the_rest() {
+        let cdf = require_cdf("mixed", [1.0, f64::NAN, 3.0]).expect("two finite samples");
+        assert_eq!(cdf.samples(), &[1.0, 3.0]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! The load runs with telemetry enabled against the per-path shard
 //! cache `data/<preset>/` (DESIGN.md §9), so the report reflects what a
-//! figure binary would pay: a cold cache profiles the simulator, a warm
+//! figure entry would pay: a cold cache profiles the simulator, a warm
 //! one profiles shard deserialization, and the `shards_*` counters say
 //! which case ran. Delete `data/<preset>/` first for a full simulator
 //! profile. Stdout gets the human-readable stage/path tables; the JSON
@@ -31,9 +31,7 @@ fn main() {
         for trace in &path.traces {
             for rec in &trace.records {
                 epochs += 1;
-                if rec.status != EpochStatus::Ok {
-                    degraded += 1;
-                }
+                degraded += usize::from(rec.status != EpochStatus::Ok);
             }
         }
         Ok(())

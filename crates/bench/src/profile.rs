@@ -1,17 +1,17 @@
 //! Profiled dataset generation and the `BENCH_gen_<preset>.json` report.
 //!
-//! `gen_dataset --profile` and the `perf_report` binary both route
-//! through [`profile_for_each_path`]: the shard walk (DESIGN.md §9)
-//! runs under [`tputpred_obs::with_profiling`] (telemetry enabled for
-//! exactly that call), and the raw [`TelemetryReport`] is distilled
+//! The `perf_report` binary routes through [`profile_for_each_path`]:
+//! the shard walk (DESIGN.md §9) runs under
+//! [`tputpred_obs::with_profiling`] (telemetry enabled for exactly that
+//! call), and the raw [`TelemetryReport`] is distilled
 //! into a [`PerfReport`] — stage wall-clock timings, simulator event
 //! rates, the parallel speedup actually achieved, and the shard cache's
 //! hit/miss/regen counts — then written as JSON.
 //!
 //! Telemetry is observation-only (DESIGN.md §11): the dataset produced
 //! under profiling is bit-identical to an unprofiled run, and the shards
-//! it writes land in the normal cache location for the other figure
-//! binaries to reuse.
+//! it writes land in the normal cache location for the figure entries
+//! to reuse.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -114,7 +114,7 @@ pub struct PerfReport {
 /// shard is resident (DESIGN.md §15), and returns the shard counts with
 /// the distilled [`PerfReport`].
 ///
-/// Profiles the walk as the figure binaries experience it: a cold cache
+/// Profiles the walk as the figure entries experience it: a cold cache
 /// times the simulator, a warm one times shard deserialization, and a
 /// partially stale one times exactly the regenerated slice — the
 /// `shards_*` counters say which case ran (a CI smoke step asserts on
@@ -190,7 +190,7 @@ pub fn gate_against_baseline(current: &PerfReport, baseline: &PerfReport) -> Bas
     }
 }
 
-/// Renders the gate verdict as the one-line summary the binaries print.
+/// Renders the gate verdict as the one-line summary `perf_report` prints.
 pub fn render_baseline_gate(g: &BaselineGate) -> String {
     format!(
         "# perf gate: {:.0} events/s vs baseline {:.0} ({:.2}x, floor {:.2}x) -> {}",
@@ -275,7 +275,7 @@ pub fn distill(preset_name: &str, t: &TelemetryReport) -> PerfReport {
     }
 }
 
-/// Renders the report as the fixed-width text block the binaries print.
+/// Renders the report as the fixed-width text block `perf_report` prints.
 pub fn render_perf_report(r: &PerfReport) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();

@@ -51,7 +51,7 @@ fn committed_epoch_csvs_match_the_export_schema() {
             header,
             EPOCH_CSV_COLUMNS.join(","),
             "{}: header drifted from export_csv's schema — regenerate with \
-             `cargo run --release -p tputpred-bench --bin export_csv`",
+             `cargo run --release -p tputpred-bench --bin repro -- export_csv`",
             file.display()
         );
         let status_col = EPOCH_CSV_COLUMNS
@@ -103,7 +103,7 @@ fn committed_league_csvs() -> Vec<PathBuf> {
     assert!(
         !files.is_empty(),
         "no league_*.csv committed under {} — regenerate with \
-         `cargo run --release -p tputpred-bench --bin fig24_league_table`",
+         `cargo run --release -p tputpred-bench --bin repro -- fig24_league_table`",
         dir.display()
     );
     files
@@ -128,7 +128,7 @@ fn committed_league_csvs_match_the_fig24_schema() {
             header,
             LEAGUE_CSV_COLUMNS.join(","),
             "{}: header drifted from fig24_league_table's schema — regenerate with \
-             `cargo run --release -p tputpred-bench --bin fig24_league_table`",
+             `cargo run --release -p tputpred-bench --bin repro -- fig24_league_table`",
             file.display()
         );
         let mut rows = 0;
@@ -193,7 +193,7 @@ fn committed_resilience_csvs() -> Vec<PathBuf> {
     assert!(
         !files.is_empty(),
         "no resilience_*.csv committed under {} — regenerate with \
-         `cargo run --release -p tputpred-bench --bin fig25_resilience`",
+         `cargo run --release -p tputpred-bench --bin repro -- fig25_resilience`",
         dir.display()
     );
     files
@@ -223,7 +223,7 @@ fn committed_resilience_csvs_match_the_fig25_schema() {
             header,
             RESILIENCE_CSV_COLUMNS.join(","),
             "{}: header drifted from fig25_resilience's schema — regenerate with \
-             `cargo run --release -p tputpred-bench --bin fig25_resilience`",
+             `cargo run --release -p tputpred-bench --bin repro -- fig25_resilience`",
             file.display()
         );
         for (i, line) in lines.enumerate() {

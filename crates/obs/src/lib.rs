@@ -367,8 +367,9 @@ pub fn snapshot() -> TelemetryReport {
 
 /// Runs `f` with telemetry enabled and a fresh window, restoring the
 /// previous enabled state afterwards; returns `f`'s output plus the
-/// snapshot taken at the end. The profiling entry points (`gen_dataset
-/// --profile`, `perf_report`) funnel through this.
+/// snapshot taken at the end. The profiling entry points (`perf_report`,
+/// and the `fig25_resilience` figure's policy counters) funnel through
+/// this.
 pub fn with_profiling<T>(f: impl FnOnce() -> T) -> (T, TelemetryReport) {
     let was = enabled();
     reset();

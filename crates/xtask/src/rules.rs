@@ -112,13 +112,17 @@ fn all_rust_sources(_: &Path) -> bool {
     true
 }
 
-/// Library code: `crates/*/src/**` excluding `src/bin/`. Figure
-/// generators, tests, benches, and examples speak the paper's axis
-/// units (ms, Mbps, KB grids) by design; the canonical-suffix contract
-/// binds the code that computes, not the code that presents.
+/// Library code: `crates/*/src/**` excluding `src/bin/` and the figure
+/// registry `crates/bench/src/figures/`. Figure generators, tests,
+/// benches, and examples speak the paper's axis units (ms, Mbps, KB
+/// grids) by design; the canonical-suffix contract binds the code that
+/// computes, not the code that presents.
 fn in_library_sources(path: &Path) -> bool {
     let p = path.to_string_lossy().replace('\\', "/");
-    p.contains("/src/") && !p.contains("/src/bin/") && p.starts_with("crates/")
+    p.contains("/src/")
+        && !p.contains("/src/bin/")
+        && !p.starts_with("crates/bench/src/figures/")
+        && p.starts_with("crates/")
 }
 
 /// The crates whose behavior feeds simulation results. A wall clock or
@@ -606,6 +610,10 @@ mod tests {
         assert!(!(rule.applies)(Path::new(
             "crates/bench/src/bin/abl_nws.rs"
         )));
+        assert!(!(rule.applies)(Path::new(
+            "crates/bench/src/figures/abl_nws.rs"
+        )));
+        assert!((rule.applies)(Path::new("crates/bench/src/analysis.rs")));
         assert!(!(rule.applies)(Path::new(
             "crates/tcp/tests/tcp_properties.rs"
         )));

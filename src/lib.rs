@@ -50,8 +50,9 @@
 //!
 //! See `examples/` for realistic end-to-end scenarios (overlay route
 //! selection, parallel downloads, grid transfer scheduling) and
-//! `crates/bench/src/bin/` for the binaries that regenerate every figure of
-//! the paper's evaluation.
+//! `crates/bench/src/figures/` for the registry entries that regenerate
+//! every figure of the paper's evaluation (run them with the `repro`
+//! binary).
 
 pub use tputpred_core as core;
 pub use tputpred_netsim as netsim;
