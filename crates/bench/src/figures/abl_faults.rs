@@ -29,15 +29,17 @@
 //! availability should hold as bursts lengthen while bare FB's refusals
 //! climb.
 //!
-//! Simulates at run time (no dataset cache); `--preset` selects the
-//! epoch scale.
+//! Each of the ten sweep points is a scaled-down preset derived from
+//! `--preset` (`rate_presets`, `dwell_presets`), read through
+//! the shard cache under `<data_dir>/<derived preset name>/`: the first
+//! run simulates them, later runs reuse them.
 
-use crate::{epoch_observations, fb_config, hw_lso, partial_a_priori, Args, Artifact};
+use crate::{epoch_observations, fb_config, hw_lso, load_dataset, partial_a_priori, Args, Artifact};
 use tputpred_core::catalog::predictor_by_name;
 use tputpred_core::fb::FbPredictor;
 use tputpred_core::metrics::{evaluate_epochs, evaluate_gappy, relative_error_floored, rmsre};
 use tputpred_stats::{quantile, render};
-use tputpred_testbed::{generate, Dataset, FaultConfig, Preset, RegimeConfig};
+use tputpred_testbed::{Dataset, FaultConfig, Preset, RegimeConfig};
 
 /// Median per-trace HW-LSO RMSRE over each trace's gappy series
 /// (missing epochs skipped, not read as level shifts), or `n/a`.
@@ -51,17 +53,58 @@ fn hb_median_rmsre(ds: &Dataset) -> String {
     quantile(&rmsres, 0.5).map_or("n/a".into(), render::f)
 }
 
+/// A scaled-down campaign with `base`'s epoch shape, named
+/// `<point>-<base name>`: the two sweeps cache ten such datasets, so
+/// each stays small, and the name keeps `base`'s so that
+/// [`tputpred_testbed::catalog_for`] draws from the same catalog.
+fn scaled(base: &Preset, point: String) -> Preset {
+    Preset {
+        name: format!("{point}-{}", base.name),
+        paths: base.paths.min(8),
+        traces_per_path: 1,
+        epochs_per_trace: base.epochs_per_trace.min(30),
+        ..base.clone()
+    }
+}
+
+/// The fault-rate sweep: one derived preset per independent fault rate.
+pub(crate) fn rate_presets(base: &Preset) -> Vec<(f64, Preset)> {
+    [0.0, 0.02, 0.05, 0.1, 0.2, 0.4]
+        .into_iter()
+        .map(|rate| {
+            let preset = Preset {
+                faults: FaultConfig::uniform(rate),
+                ..scaled(base, format!("abl-faults-{rate:.2}"))
+            };
+            (rate, preset)
+        })
+        .collect()
+}
+
+/// The burst-length sweep: one derived preset per mean Down-dwell, at a
+/// fixed 5% fault rate amplified by the regime chain.
+pub(crate) fn dwell_presets(base: &Preset) -> Vec<(f64, Preset)> {
+    [1.0, 3.0, 6.0, 12.0]
+        .into_iter()
+        .map(|dwell| {
+            let preset = Preset {
+                faults: FaultConfig::uniform(0.05),
+                regimes: RegimeConfig {
+                    degraded_entry: 0.1,
+                    down_entry: 0.2,
+                    mean_degraded_dwell: 3.0,
+                    mean_down_dwell: dwell,
+                    fault_multiplier: 4.0,
+                },
+                ..scaled(base, format!("abl-dwell-{dwell:.0}"))
+            };
+            (dwell, preset)
+        })
+        .collect()
+}
+
 pub fn run(args: &Args) -> Result<Vec<Artifact>, String> {
     let mut out = String::new();
-    // A scaled-down campaign per fault level, derived from the preset's
-    // epoch shape (the sweep simulates 6 datasets, so keep each small).
-    let base = Preset {
-        name: String::new(), // set per level below
-        paths: args.preset.paths.min(8),
-        traces_per_path: 1,
-        epochs_per_trace: args.preset.epochs_per_trace.min(30),
-        ..args.preset.clone()
-    };
 
     let mut table = render::Table::new([
         "fault_rate",
@@ -72,14 +115,12 @@ pub fn run(args: &Args) -> Result<Vec<Artifact>, String> {
         "fb_rmsre",
         "hb_median_rmsre",
     ]);
-    for rate in [0.0, 0.02, 0.05, 0.1, 0.2, 0.4] {
-        let preset = Preset {
-            name: format!("abl-faults-{rate:.2}"),
-            faults: FaultConfig::uniform(rate),
-            ..base.clone()
-        };
-        let ds = generate(&preset);
-        let fb = FbPredictor::new(fb_config(&preset));
+    for (rate, preset) in rate_presets(&args.preset) {
+        let ds = load_dataset(&Args {
+            preset,
+            ..args.clone()
+        })?;
+        let fb = FbPredictor::new(fb_config(&ds.preset));
 
         // FB over EVERY epoch's partial estimates: score what it
         // predicts, count what it refuses. A prediction is scorable only
@@ -129,21 +170,12 @@ pub fn run(args: &Args) -> Result<Vec<Artifact>, String> {
         "chain_median_rmsre",
         "chain_availability",
     ]);
-    for dwell in [1.0, 3.0, 6.0, 12.0] {
-        let preset = Preset {
-            name: format!("abl-dwell-{dwell:.0}"),
-            faults: FaultConfig::uniform(0.05),
-            regimes: RegimeConfig {
-                degraded_entry: 0.1,
-                down_entry: 0.2,
-                mean_degraded_dwell: 3.0,
-                mean_down_dwell: dwell,
-                fault_multiplier: 4.0,
-            },
-            ..base.clone()
-        };
-        let ds = generate(&preset);
-        let fb = FbPredictor::new(fb_config(&preset));
+    for (dwell, preset) in dwell_presets(&args.preset) {
+        let ds = load_dataset(&Args {
+            preset,
+            ..args.clone()
+        })?;
+        let fb = FbPredictor::new(fb_config(&ds.preset));
 
         let mut missing = 0usize;
         let mut refused = 0usize;
@@ -158,7 +190,7 @@ pub fn run(args: &Args) -> Result<Vec<Artifact>, String> {
         let mut chain_forecasts = 0usize;
         let mut chain_epochs = 0usize;
         for trace in ds.paths.iter().flat_map(|p| p.traces.iter()) {
-            let mut chain = predictor_by_name("FB->0.8-HW-LSO->LKG", &fb_config(&preset))
+            let mut chain = predictor_by_name("FB->0.8-HW-LSO->LKG", &fb_config(&ds.preset))
                 .unwrap_or_else(|| unreachable!("registry entry exists"));
             let result = evaluate_epochs(&mut chain, &epoch_observations(trace));
             chain_epochs += result.predictions.len();

@@ -20,8 +20,10 @@
 //! fault stream the generator consumed, so the labels match the dataset
 //! bit for bit.
 //!
-//! Simulates at run time (no dataset cache: the campaign preset differs
-//! from the stock ones); `--preset` selects the epoch scale. Artifacts:
+//! The campaign is a scaled-down preset derived from `--preset`
+//! (`campaign_preset`), streamed through the shard cache under
+//! `<data_dir>/resilience-<preset>/`: the first run simulates it, later
+//! runs reuse it. Artifacts:
 //! a fixed-width table plus policy `obs` counters (replayed
 //! bit-identically across runs, which CI checks), and
 //! `resilience_<preset>.csv` (schema
@@ -39,7 +41,7 @@ use tputpred_core::catalog::predictor_catalog;
 use tputpred_core::metrics::{evaluate_epochs, rmsre};
 use tputpred_stats::render;
 use tputpred_testbed::{
-    draw_regimes, generate_each, trace_seed, FaultConfig, OutageRegime, Preset, RegimeConfig,
+    draw_regimes, for_each_path, trace_seed, FaultConfig, OutageRegime, Preset, RegimeConfig,
 };
 
 /// Regime columns of the table: the pooled "all" plus one per state.
@@ -65,28 +67,35 @@ struct Cell {
     errors: Vec<f64>,
 }
 
-pub fn run(args: &Args) -> Result<Vec<Artifact>, String> {
-    let mut out = String::new();
-    // A scaled-down campaign derived from the preset's epoch shape,
-    // with moderate base faults for the regime chain to amplify.
-    let preset = Preset {
-        name: format!("resilience-{}", args.preset.name),
-        paths: args.preset.paths.min(8),
+/// The campaign: a scaled-down preset with `base`'s epoch shape and
+/// moderate base faults for the regime chain to amplify, named
+/// `resilience-<base name>` so that [`tputpred_testbed::catalog_for`]
+/// draws from `base`'s catalog.
+pub(crate) fn campaign_preset(base: &Preset) -> Preset {
+    Preset {
+        name: format!("resilience-{}", base.name),
+        paths: base.paths.min(8),
         traces_per_path: 1,
-        epochs_per_trace: args.preset.epochs_per_trace.min(40),
+        epochs_per_trace: base.epochs_per_trace.min(40),
         faults: FaultConfig::uniform(0.08),
         regimes: RegimeConfig::flaky(),
-        ..args.preset.clone()
-    };
+        ..base.clone()
+    }
+}
+
+pub fn run(args: &Args) -> Result<Vec<Artifact>, String> {
+    let mut out = String::new();
+    let preset = campaign_preset(&args.preset);
     let cfg = fb_config(&preset);
     let catalog = predictor_catalog();
 
-    // The campaign streams (DESIGN.md §15): each path is simulated,
+    // The campaign streams (DESIGN.md §15): each path is loaded,
     // evaluated, and dropped, so a synth-scale preset never holds more
-    // than one fan-out chunk of traces in memory.
+    // than one path in memory.
+    let dir = args.data_dir.join(&preset.name);
     let mut cells: BTreeMap<(usize, usize), Cell> = BTreeMap::new();
-    let ((), report) = tputpred_obs::with_profiling(|| {
-        generate_each(&preset, |_, path| {
+    let (walk, report) = tputpred_obs::with_profiling(|| {
+        for_each_path(&dir, &preset, |_, path| {
             for (t_idx, trace) in path.traces.iter().enumerate() {
                 let epochs = epoch_observations(trace);
                 let regimes = draw_regimes(
@@ -110,8 +119,10 @@ pub fn run(args: &Args) -> Result<Vec<Artifact>, String> {
                     }
                 }
             }
-        });
+            Ok(())
+        })
     });
+    walk.map_err(|e| format!("dataset at {}: {e}", dir.display()))?;
 
     outln!(
         out,

@@ -184,3 +184,36 @@ pub fn write_artifact(dir: &Path, artifact: &Artifact) -> Result<PathBuf, String
     .map_err(|e| format!("could not write {}: {e}", path.display()))?;
     Ok(path)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::{abl_faults, fig25_resilience};
+    use tputpred_testbed::{catalog_for, Preset};
+
+    #[test]
+    fn derived_presets_draw_from_their_base_catalog() {
+        // A derived preset is cached and generated under its own name,
+        // and `catalog_for` reads the catalog off the name: every sweep
+        // point of abl_faults and the fig25 campaign must simulate the
+        // base preset's paths, not silently fall back to catalog_2004.
+        let mut strays = Vec::new();
+        for name in Preset::names() {
+            let base = Preset::by_name(name).expect("registered preset");
+            let derived = abl_faults::rate_presets(&base)
+                .into_iter()
+                .chain(abl_faults::dwell_presets(&base))
+                .map(|(_, preset)| preset)
+                .chain([fig25_resilience::campaign_preset(&base)]);
+            for preset in derived {
+                let same_size = Preset {
+                    paths: preset.paths,
+                    ..base.clone()
+                };
+                if catalog_for(&preset) != catalog_for(&same_size) {
+                    strays.push(format!("{} (from {name})", preset.name));
+                }
+            }
+        }
+        assert!(strays.is_empty(), "off the base catalog: {strays:?}");
+    }
+}

@@ -68,7 +68,7 @@ pub struct PerfReport {
     pub behavior_hash: String,
     /// Worker threads the generation pool used. `None` when the run
     /// regenerated nothing (warm cache): the `testbed.workers` gauge is
-    /// only set around an actual parallel fan-out, and inventing a
+    /// only set when the generation fan-out runs, and inventing a
     /// count would make the utilization column silently wrong
     /// (DESIGN.md §15).
     pub workers: Option<u64>,
@@ -76,7 +76,8 @@ pub struct PerfReport {
     pub traces: u64,
     /// Epochs simulated (including degraded ones).
     pub epochs: u64,
-    /// End-to-end wall time of `generate()` (seconds).
+    /// Wall time of the generation fan-out, the `testbed.generate_wall`
+    /// scope (seconds).
     pub generate_wall_s: f64,
     /// Summed per-trace wall time across all workers (seconds).
     pub trace_wall_total_s: f64,
@@ -90,7 +91,7 @@ pub struct PerfReport {
     pub worker_utilization: Option<f64>,
     /// Simulator events dispatched across all traces.
     pub events: u64,
-    /// Events per wall-clock second of `generate()`.
+    /// Events per wall-clock second of the generation fan-out.
     pub events_per_wall_s: f64,
     /// Cache shards reused as-is (hash and fingerprint matched).
     pub shards_hit: u64,

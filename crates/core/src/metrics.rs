@@ -2,7 +2,7 @@
 //! §6.1.3, §6.1.6).
 
 use crate::lso::{scan_series, LsoConfig};
-use crate::predictor::{EpochObservation, Predictor, Update};
+use crate::predictor::{EpochFeatures, EpochObservation, Predictor, Update};
 use tputpred_stats::Summary;
 
 /// The relative prediction error of one epoch (Eq. 4):
@@ -126,8 +126,11 @@ impl EvalResult {
 ///
 /// Throughput values are floored at [`MIN_THROUGHPUT`] for scoring.
 pub fn evaluate<P: Predictor>(predictor: &mut P, series: &[f64]) -> EvalResult {
-    let dense: Vec<Option<f64>> = series.iter().copied().map(Some).collect();
-    evaluate_gappy(predictor, &dense)
+    let epochs: Vec<EpochObservation> = series
+        .iter()
+        .map(|&x| EpochObservation::sample(x))
+        .collect();
+    evaluate_epochs(predictor, &epochs)
 }
 
 /// [`evaluate`] over a series with *gaps*: a `None` is an epoch whose
@@ -141,35 +144,22 @@ pub fn evaluate<P: Predictor>(predictor: &mut P, series: &[f64]) -> EvalResult {
 /// `None`), and `outliers`/`level_shifts` positions are mapped back to
 /// indices into the *gappy* input series, so an evaluation over a gappy
 /// series is position-compatible with the series it came from.
+///
+/// A gap is a featureless epoch with no throughput, which every
+/// predictor treats as a non-event (the gap law pinned by
+/// `tests/family_gap_tolerance.rs`); [`evaluate_epochs`] still asks for
+/// a forecast there, so those slots are cleared afterwards.
 pub fn evaluate_gappy<P: Predictor>(predictor: &mut P, series: &[Option<f64>]) -> EvalResult {
-    let mut result = EvalResult::default();
-    // Positions in the predictor's fed (gap-free) stream → positions in
-    // `series`; predictor-reported events use the former.
-    let mut fed_to_orig: Vec<usize> = Vec::new();
-    let mut outliers_fed: Vec<usize> = Vec::new();
-    let mut shifts_fed: Vec<usize> = Vec::new();
-    for (i, &sample) in series.iter().enumerate() {
-        let Some(x) = sample else {
-            result.predictions.push(None);
-            result.errors.push(None);
-            continue;
-        };
-        let forecast = predictor.forecast();
-        result.predictions.push(forecast);
-        result
-            .errors
-            .push(forecast.map(|f| relative_error_floored(f, x)));
-        fed_to_orig.push(i);
-        match predictor.update(x) {
-            Update::Accepted | Update::Skipped => {}
-            Update::OutliersDiscarded { positions, .. } => outliers_fed.extend(positions),
-            Update::LevelShift { start, .. } => shifts_fed.push(start),
+    let epochs: Vec<EpochObservation> = series
+        .iter()
+        .map(|&x| EpochObservation::new(EpochFeatures::NONE, x))
+        .collect();
+    let mut result = evaluate_epochs(predictor, &epochs);
+    for (prediction, sample) in result.predictions.iter_mut().zip(series) {
+        if sample.is_none() {
+            *prediction = None;
         }
-        debug_assert!(i + 1 == result.errors.len());
     }
-    let remap = |fed: usize| fed_to_orig.get(fed).copied().unwrap_or(fed);
-    result.outliers = outliers_fed.into_iter().map(remap).collect();
-    result.level_shifts = shifts_fed.into_iter().map(remap).collect();
     result
 }
 
@@ -180,17 +170,19 @@ pub fn evaluate_gappy<P: Predictor>(predictor: &mut P, series: &[Option<f64>]) -
 /// forecast is scored against the measured throughput (Eq. 4), and then
 /// the whole epoch is observed.
 ///
-/// Unlike [`evaluate_gappy`], the predictor *is* consulted and fed on
-/// every epoch — a feature-only epoch lets formula-backed predictors
-/// forecast and smooth even when the transfer failed, while series-only
-/// predictors treat it as a no-op ([`Update::Skipped`]). An error is
-/// recorded only where both a forecast and a measured throughput exist;
-/// event positions are mapped to epoch indices as in [`evaluate_gappy`]
-/// (history-side events index throughput-carrying epochs).
+/// The predictor is consulted and fed on every epoch — a feature-only
+/// epoch lets formula-backed predictors forecast and smooth even when
+/// the transfer failed, while series-only predictors treat it as a
+/// no-op ([`Update::Skipped`]). An error is recorded only where both a
+/// forecast and a measured throughput exist; history-side event
+/// positions (which count throughput-carrying epochs) are mapped back
+/// to epoch indices.
 ///
-/// For series-only predictors this coincides exactly with
-/// [`evaluate_gappy`] over the throughput series; for FB it reproduces
-/// the paper's a-priori FB protocol (§4.1).
+/// This is the one scoring loop: [`evaluate`] and [`evaluate_gappy`]
+/// are it over featureless epochs. For series-only predictors it
+/// coincides exactly with [`evaluate_gappy`] over the throughput series
+/// (apart from the forecasts `evaluate_gappy` clears at gaps); for FB
+/// it reproduces the paper's a-priori FB protocol (§4.1).
 pub fn evaluate_epochs<P: Predictor>(predictor: &mut P, epochs: &[EpochObservation]) -> EvalResult {
     let mut result = EvalResult::default();
     // History-side event positions count ingested throughput samples;

@@ -16,6 +16,7 @@
 //! average. The probing traffic itself — exponentially spaced small UDP
 //! packets through the real queue — is simulated faithfully.
 
+use crate::pathload::{OwdLog, OwdSink};
 use std::cell::RefCell;
 use std::rc::Rc;
 use tputpred_netsim::{
@@ -72,8 +73,6 @@ pub struct PathChirpResult {
 
 /// Shared handle to a measurement's result.
 pub type PathChirpHandle = Rc<RefCell<PathChirpResult>>;
-
-type OwdLog = Rc<RefCell<Vec<Vec<(u64, Time)>>>>;
 
 /// Instantaneous rate preceding packet `k` (gap between packets k−1, k).
 fn rate_at(config: &PathChirpConfig, k: u32) -> f64 {
@@ -165,25 +164,6 @@ pub struct PathChirp {
     pkt_idx: u32,
 }
 
-/// The receiving side: logs per-chirp one-way delays.
-struct ChirpSink {
-    owds: OwdLog,
-}
-
-impl Endpoint for ChirpSink {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: Packet) {
-        if let Payload::Probe(meta) = packet.payload {
-            let mut log = self.owds.borrow_mut();
-            let chirp = meta.stream as usize;
-            if log.len() <= chirp {
-                log.resize_with(chirp + 1, Vec::new);
-            }
-            log[chirp].push((meta.seq, ctx.now.saturating_sub(meta.sent_at)));
-        }
-    }
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
-}
-
 impl PathChirp {
     /// Installs a measurement into `sim`, bootstrapped at `start`;
     /// returns the shared result handle. Wall time is roughly
@@ -195,11 +175,7 @@ impl PathChirp {
         route: Route,
         start: Time,
     ) -> PathChirpHandle {
-        let owds: OwdLog = Rc::new(RefCell::new(Vec::new()));
-        let sink = ChirpSink {
-            owds: Rc::clone(&owds),
-        };
-        let sink_id = sim.add_endpoint(Box::new(sink));
+        let (sink_id, owds) = OwdSink::deploy(sim);
         let result = PathChirpHandle::default();
         let prober = PathChirp {
             config,

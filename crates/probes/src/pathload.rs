@@ -106,8 +106,9 @@ impl PathloadResult {
 /// Shared handle to a measurement's result.
 pub type PathloadHandle = Rc<RefCell<PathloadResult>>;
 
-/// Per-stream OWD log, written by the receiving endpoint.
-type OwdLog = Rc<RefCell<Vec<Vec<(u64, Time)>>>>;
+/// Per-stream `(seq, one-way delay)` log, written by the receiving
+/// [`OwdSink`].
+pub(crate) type OwdLog = Rc<RefCell<Vec<Vec<(u64, Time)>>>>;
 
 /// The verdict of one stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,12 +211,25 @@ pub struct Pathload {
     gap_memo: GapMemo,
 }
 
-/// The receiving side: logs each probe's one-way delay per stream.
-pub struct PathloadSink {
+/// The receiving side of pathload and pathChirp: logs each probe's
+/// one-way delay under its stream (pathChirp: chirp) index.
+pub(crate) struct OwdSink {
     owds: OwdLog,
 }
 
-impl Endpoint for PathloadSink {
+impl OwdSink {
+    /// Adds a sink to `sim`; returns its endpoint id (the probes'
+    /// destination) and the log the prober reads.
+    pub(crate) fn deploy(sim: &mut Simulator) -> (EndpointId, OwdLog) {
+        let owds = OwdLog::default();
+        let sink = OwdSink {
+            owds: Rc::clone(&owds),
+        };
+        (sim.add_endpoint(Box::new(sink)), owds)
+    }
+}
+
+impl Endpoint for OwdSink {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: Packet) {
         if let Payload::Probe(meta) = packet.payload {
             let mut log = self.owds.borrow_mut();
@@ -245,11 +259,7 @@ impl Pathload {
         route: Route,
         start: Time,
     ) -> PathloadHandle {
-        let owds: OwdLog = Rc::new(RefCell::new(Vec::new()));
-        let sink = PathloadSink {
-            owds: Rc::clone(&owds),
-        };
-        let sink_id = sim.add_endpoint(Box::new(sink));
+        let (sink_id, owds) = OwdSink::deploy(sim);
         let result = PathloadHandle::default();
         // The grow phase starts a few doublings below max_rate rather
         // than at min_rate: real pathload likewise begins near a coarse

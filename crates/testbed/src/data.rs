@@ -292,13 +292,14 @@ impl Dataset {
     ///    so simulation-code edits invalidate every shard while preset
     ///    or catalog changes and cache damage invalidate only the
     ///    affected ones.
-    /// 2. **Regenerate** fans the untrusted set out across
-    ///    [`rayon::current_num_threads`] workers, each writing its shard
-    ///    the moment it finishes (shards are independent files, so
+    /// 2. **Regenerate** hands the untrusted set to the crate's one
+    ///    parallel fan-out, `regenerate_all`, whose job writes each
+    ///    shard the moment it finishes (shards are independent files, so
     ///    parallel atomic writes cannot collide). Every path is a pure
     ///    function of (preset, config), so the bytes do not depend on the
     ///    worker count — `shard_pin.rs` pins multi-worker against
-    ///    single-worker output and the walk against `generate()`.
+    ///    single-worker output and the walk against `runner::generate`,
+    ///    the same fan-out collected in memory without the cache.
     /// 3. **Visit** parses each shard once, in full, and re-checks both
     ///    digests. A shard that fails here — damaged after classify, or
     ///    a body truncated behind an intact header — is regenerated on
@@ -357,23 +358,11 @@ impl Dataset {
                 stats.stale,
                 dir.display()
             );
-            // The whole parallel phase sits inside one generate-wall
-            // scope with the worker count on a gauge, so a profiled run
-            // can report parallel speedup (DESIGN.md §11) — telemetry
-            // is observation-only, the regenerated bytes are identical
-            // with it on or off.
-            obs::gauge_set("testbed.workers", rayon::current_num_threads() as f64);
-            obs::add(
-                "testbed.traces",
-                (stale_ids.len() * preset.traces_per_path) as u64,
-            );
-            let mut gen_scope = obs::time_scope("testbed.generate_wall");
-            let outcomes: Vec<io::Result<()>> = stale_ids
-                .par_iter()
-                .map(|&id| save_shard(dir, id, preset, &regenerate_one(id)))
-                .collect();
-            gen_scope.stop();
-            outcomes.into_iter().collect::<io::Result<()>>()?;
+            regenerate_all(preset, &stale_ids, |id| {
+                save_shard(dir, id, preset, &regenerate_one(id))
+            })
+            .into_iter()
+            .collect::<io::Result<()>>()?;
         }
         write_manifest_if_changed(dir, preset, &fingerprints)?;
 
@@ -392,10 +381,7 @@ impl Dataset {
                         stats.hits -= 1;
                         stats.stale += 1;
                     }
-                    obs::add("testbed.traces", preset.traces_per_path as u64);
-                    let mut gen_scope = obs::time_scope("testbed.generate_wall");
-                    let fresh = regenerate_one(id);
-                    gen_scope.stop();
+                    let fresh = regenerate_all(preset, &[id], &regenerate_one).remove(0);
                     save_shard(dir, id, preset, &fresh)?;
                     fresh
                 }
@@ -404,6 +390,34 @@ impl Dataset {
         }
         Ok(stats)
     }
+}
+
+/// The one parallel generation fan-out: runs `job` once per catalog
+/// path in `ids` across [`rayon::current_num_threads`] workers and
+/// returns the results in `ids` order. The shard walk regenerates
+/// through it (its job saves each shard as it finishes) and so does
+/// `runner::generate` (its job returns the path). Every path is a pure
+/// function of (preset, config), so the results do not depend on the
+/// worker count or on which other paths share the batch.
+///
+/// Telemetry (observation-only, the bytes are identical with it on or
+/// off): the `testbed.workers` gauge and the `testbed.traces` counter,
+/// and one `testbed.generate_wall` scope around the parallel phase, so a
+/// profiled run can report parallel speedup (DESIGN.md §11).
+pub(crate) fn regenerate_all<T: Send>(
+    preset: &Preset,
+    ids: &[usize],
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    obs::gauge_set("testbed.workers", rayon::current_num_threads() as f64);
+    obs::add(
+        "testbed.traces",
+        (ids.len() * preset.traces_per_path) as u64,
+    );
+    let mut gen_scope = obs::time_scope("testbed.generate_wall");
+    let results = ids.par_iter().map(|&id| job(id)).collect();
+    gen_scope.stop();
+    results
 }
 
 // --- Sharded per-path persistence (DESIGN.md §9) ------------------------

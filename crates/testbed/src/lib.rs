@@ -23,7 +23,8 @@
 //!   [`preset::Preset::tiny`] is CI-sized. Durations scale together so
 //!   the *shape* of results is preserved.
 //! * [`runner`] — epoch orchestration: per-trace simulation assembly,
-//!   the epoch timeline, and parallel (rayon) dataset generation.
+//!   the epoch timeline, and dataset generation (one path per parallel
+//!   job, cached or in memory).
 //! * [`faults`] — deterministic measurement fault injection: a per-trace
 //!   [`faults::FaultPlan`] (drawn from the trace seed, on its own RNG
 //!   stream) schedules pathload aborts, prober outages, reply-loss
@@ -31,7 +32,7 @@
 //!   failure modes of the real RON testbed (DESIGN.md §10).
 //! * [`data`] — the dataset model ([`data::EpochRecord`],
 //!   [`data::Dataset`]) with a per-path JSON shard cache, so every
-//!   figure binary reuses one generated dataset instead of re-simulating. Degraded
+//!   `repro` entry reuses one generated dataset instead of re-simulating. Degraded
 //!   epochs carry a [`data::EpochStatus`] and `None` measurements;
 //!   [`data::Dataset::complete_epochs`] yields only the fully-measured
 //!   ones, as the paper's own post-processing did.
@@ -64,7 +65,7 @@ pub use faults::{
 pub use path::{catalog_2004, catalog_2006, CrossProfile, PathConfig};
 pub use preset::Preset;
 pub use runner::{
-    catalog_for, for_each_path, generate, generate_each, generate_path, generate_paths,
-    load_or_generate_sharded, run_trace, run_trace_pooled, set_generation_workers, trace_seed,
+    catalog_for, for_each_path, generate, generate_path, load_or_generate_sharded, run_trace,
+    run_trace_pooled, set_generation_workers, trace_seed,
 };
 pub use synth::{class_specs, synth_catalog, synth_catalog_with_mix, ClassMix, ClassSpec};

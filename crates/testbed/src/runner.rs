@@ -13,13 +13,12 @@
 //! transfer follows the main one (§4.2.8). All per-epoch measurements
 //! land in an [`EpochRecord`].
 
-use crate::data::{Dataset, EpochFaults, EpochRecord, PathData, TraceData};
+use crate::data::{regenerate_all, Dataset, EpochFaults, EpochRecord, PathData, TraceData};
 use crate::faults::{EpochFaultPlan, FaultPlan, TransferFault};
 use crate::path::{catalog_2004, catalog_2006, PathConfig};
 use crate::preset::Preset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use tputpred_netsim::link::LinkConfig;
 use tputpred_netsim::sources::{ParetoOnOffSource, PoissonSource, Reflector, Sink, SourceConfig};
 use tputpred_netsim::{EnginePool, LinkId, RateSchedule, Route, Simulator, Time};
@@ -559,62 +558,18 @@ pub fn catalog_for(preset: &Preset) -> Vec<PathConfig> {
     }
 }
 
-/// Generates the [`PathData`] for a subset of `catalog` (the paths at
-/// `indices`, in the given order), running traces in parallel across
-/// CPU cores. Deterministic: each trace's seed derives from its path's
-/// seed and trace index, never from which subset it was generated in —
-/// so generating paths one at a time and merging is bit-identical to
-/// one full pass (`tests/shard_pin.rs` pins this).
-///
-/// Trace-level fan-out for uncached generation: [`generate`] is the
-/// whole-catalog special case and [`generate_each`] walks the catalog in
-/// chunks of it. The shard cache regenerates per path instead, through
-/// [`generate_path`].
-pub fn generate_paths(preset: &Preset, catalog: &[PathConfig], indices: &[usize]) -> Vec<PathData> {
-    if indices.is_empty() {
-        return Vec::new();
-    }
-    let jobs: Vec<(usize, usize)> = indices
-        .iter()
-        .flat_map(|&p| (0..preset.traces_per_path).map(move |t| (p, t)))
-        .collect();
-    obs::gauge_set("testbed.workers", rayon::current_num_threads() as f64);
-    obs::add("testbed.traces", jobs.len() as u64);
-    let mut gen_scope = obs::time_scope("testbed.generate_wall");
-    let mut results: Vec<((usize, usize), TraceData)> = jobs
-        .par_iter()
-        .map(|&(p, t)| ((p, t), run_trace(&catalog[p], t, preset)))
-        .collect();
-    gen_scope.stop();
-    results.sort_by_key(|&(key, _)| key);
-    let mut paths: Vec<PathData> = indices
-        .iter()
-        .map(|&p| PathData {
-            config: catalog[p].clone(),
-            traces: Vec::with_capacity(preset.traces_per_path),
-        })
-        .collect();
-    for ((p, _), trace) in results {
-        // `results` is sorted by (path, trace) and `indices` is the job
-        // order, so the slot is found by position in `indices`.
-        if let Some(slot) = indices.iter().position(|&i| i == p) {
-            paths[slot].traces.push(trace);
-        }
-    }
-    paths
-}
-
-/// Generates a complete dataset for `preset`, running traces in parallel
-/// across CPU cores. Deterministic: the result depends only on the
-/// preset (every trace derives its seed from the path seed and trace
-/// index).
+/// Generates a complete dataset for `preset` in memory, without the
+/// shard cache: [`generate_path`] over the whole catalog through the
+/// walk's parallel fan-out, collected in catalog order. Deterministic:
+/// the result depends only on the preset (every trace derives its seed
+/// from the path seed and trace index). The reference the shard pins
+/// compare the cached walk against.
 pub fn generate(preset: &Preset) -> Dataset {
     let catalog = catalog_for(preset);
-    let indices: Vec<usize> = (0..catalog.len()).collect();
-    let paths = generate_paths(preset, &catalog, &indices);
+    let ids: Vec<usize> = (0..catalog.len()).collect();
     Dataset {
         preset: preset.clone(),
-        paths,
+        paths: regenerate_all(preset, &ids, |id| generate_path(preset, &catalog[id])),
     }
 }
 
@@ -650,10 +605,10 @@ pub fn set_generation_workers(n: usize) {
 }
 
 /// Generates one path's complete [`PathData`] — every trace, in order,
-/// on the calling thread. The per-shard regeneration unit of the shard
-/// cache ([`for_each_path`]); bit-identical to the same path's slice of
-/// a full [`generate`] pass (trace seeds depend only on (path, trace
-/// index)).
+/// on the calling thread. The job of the one parallel fan-out, per
+/// shard in the cache ([`for_each_path`]) and per catalog path in
+/// [`generate`]; trace seeds depend only on (path, trace index), so a
+/// path's data never depends on the batch it was generated in.
 pub fn generate_path(preset: &Preset, config: &PathConfig) -> PathData {
     PathData {
         config: config.clone(),
@@ -702,30 +657,6 @@ where
         obs::add("testbed.shards.regenerated", stats.regenerated() as u64);
     }
     result
-}
-
-/// Uncached streaming generation: simulates `preset`'s catalog in
-/// worker-sized chunks and hands each [`PathData`] to `visit` in
-/// catalog order, dropping it afterwards — for campaign binaries
-/// (`fig25_resilience`) that never want a disk cache but must not hold
-/// a whole `Dataset` either. Chunking preserves the parallel fan-out;
-/// output is independent of the chunk size (every trace is a pure
-/// function of (path config, trace index, preset)).
-pub fn generate_each<V>(preset: &Preset, mut visit: V)
-where
-    V: FnMut(usize, PathData),
-{
-    let catalog = catalog_for(preset);
-    let chunk = (rayon::current_num_threads() * 2).max(1);
-    let mut next = 0usize;
-    while next < catalog.len() {
-        let indices: Vec<usize> = (next..(next + chunk).min(catalog.len())).collect();
-        let paths = generate_paths(preset, &catalog, &indices);
-        for (id, path) in indices.iter().zip(paths) {
-            visit(*id, path);
-        }
-        next += chunk;
-    }
 }
 
 #[cfg(test)]
@@ -825,7 +756,7 @@ mod tests {
 
     #[test]
     fn dataset_generation_replays_bit_identically() {
-        // The full generate() pass — parallel (rayon) trace fan-out and
+        // The full generate() pass — the parallel per-path fan-out and
         // assembly — must be a pure function of the preset, not just
         // each trace in isolation: this is what makes `data/*.json`
         // caching and the behavior-hash staleness guard sound.

@@ -15,8 +15,8 @@ use std::path::PathBuf;
 use tputpred_netsim::Time;
 use tputpred_testbed::data::{shard_file_name, SHARD_MANIFEST};
 use tputpred_testbed::{
-    catalog_for, for_each_path, generate, generate_paths, load_or_generate_sharded, FaultConfig,
-    Preset, RegimeConfig, ShardStats,
+    catalog_for, for_each_path, generate, load_or_generate_sharded, FaultConfig, Preset,
+    RegimeConfig, ShardStats,
 };
 
 fn pin_preset() -> Preset {
@@ -109,24 +109,6 @@ fn sharded_load_is_bit_identical_to_from_scratch_generation() {
     );
 
     fs::remove_dir_all(&dir).expect("cleanup");
-}
-
-#[test]
-fn per_path_generation_matches_the_full_pass_slice_for_slice() {
-    // generate_paths() on an arbitrary subset must reproduce exactly the
-    // slices of the full pass — trace seeds depend only on (path, trace
-    // index), never on which batch a path was generated in.
-    let preset = pin_preset();
-    let catalog = catalog_for(&preset);
-    let full = generate(&preset);
-    let subset = generate_paths(&preset, &catalog, &[2, 0]);
-    assert_eq!(subset.len(), 2);
-    assert_eq!(subset[0], full.paths[2], "path 2 diverged in subset run");
-    assert_eq!(subset[1], full.paths[0], "path 0 diverged in subset run");
-    assert!(
-        generate_paths(&preset, &catalog, &[]).is_empty(),
-        "empty subset generates nothing"
-    );
 }
 
 #[test]
