@@ -53,10 +53,9 @@ fn hb_median_rmsre(ds: &Dataset) -> String {
     quantile(&rmsres, 0.5).map_or("n/a".into(), render::f)
 }
 
-/// A scaled-down campaign with `base`'s epoch shape, named
+/// A scaled-down campaign with `base`'s epoch shape and catalog, named
 /// `<point>-<base name>`: the two sweeps cache ten such datasets, so
-/// each stays small, and the name keeps `base`'s so that
-/// [`tputpred_testbed::catalog_for`] draws from the same catalog.
+/// each stays small, and each base preset gets its own cache folders.
 fn scaled(base: &Preset, point: String) -> Preset {
     Preset {
         name: format!("{point}-{}", base.name),

@@ -68,9 +68,8 @@ struct Cell {
 }
 
 /// The campaign: a scaled-down preset with `base`'s epoch shape and
-/// moderate base faults for the regime chain to amplify, named
-/// `resilience-<base name>` so that [`tputpred_testbed::catalog_for`]
-/// draws from `base`'s catalog.
+/// catalog and moderate base faults for the regime chain to amplify,
+/// named (and so cached) `resilience-<base name>`.
 pub(crate) fn campaign_preset(base: &Preset) -> Preset {
     Preset {
         name: format!("resilience-{}", base.name),

@@ -192,10 +192,10 @@ mod tests {
 
     #[test]
     fn derived_presets_draw_from_their_base_catalog() {
-        // A derived preset is cached and generated under its own name,
-        // and `catalog_for` reads the catalog off the name: every sweep
-        // point of abl_faults and the fig25 campaign must simulate the
-        // base preset's paths, not silently fall back to catalog_2004.
+        // A derived preset is cached and generated under its own name
+        // and must keep its base's `catalog`: every sweep point of
+        // abl_faults and the fig25 campaign must simulate the base
+        // preset's paths, not silently fall back to catalog_2004.
         let mut strays = Vec::new();
         for name in Preset::names() {
             let base = Preset::by_name(name).expect("registered preset");

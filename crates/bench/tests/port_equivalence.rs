@@ -16,13 +16,14 @@ use tputpred_core::hb::{Ewma, HoltWinters, MovingAverage};
 use tputpred_core::lso::Lso;
 use tputpred_core::metrics::{evaluate, evaluate_epochs};
 use tputpred_netsim::Time;
-use tputpred_testbed::{generate, Dataset, FaultConfig, Preset, RegimeConfig};
+use tputpred_testbed::{generate, CatalogKind, Dataset, FaultConfig, Preset, RegimeConfig};
 
 /// Small fault-free preset: 3 paths x 1 trace x 8 epochs, enough for
 /// MA/HW warm-up and an LSO window, fast enough for the test profile.
 fn pin_preset() -> Preset {
     Preset {
         name: "port-pin".into(),
+        catalog: CatalogKind::Y2004,
         paths: 3,
         traces_per_path: 1,
         epochs_per_trace: 8,

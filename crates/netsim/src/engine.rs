@@ -50,6 +50,23 @@
 //! 4. on arrival the packet either enters the next link of its route or is
 //!    delivered to the destination endpoint's
 //!    [`Endpoint::on_packet`].
+//!
+//! # Unobserved deliveries (DESIGN.md §14)
+//!
+//! A packet whose last hop ends at an endpoint that [discards]
+//! ([`Endpoint::discards`]) never becomes an arrival event: its link
+//! keeps only the packed key the arrival would have had, in a second
+//! FIFO sorted like the first. Such an arrival is *settled* — counted
+//! in `arrival_events`, `packets_delivered` and `elided_arrivals`, and
+//! the clock moved to it — once the event order passes its key: before
+//! the link elides another packet (up to `now`), before the timer wheel
+//! advances (the one place a stale clock is read: up to the timer being
+//! dispatched), and when [`Simulator::run_until`] or
+//! [`Simulator::run_to_quiescence`] returns. So every counter, the clock
+//! and the wheel read exactly what dispatching the arrivals would have
+//! left them, and the FIFO holds only packets still in propagation.
+//!
+//! [discards]: Endpoint::discards
 
 use crate::link::{Link, LinkConfig, LinkId, Offer};
 use crate::packet::{Packet, Payload, Route};
@@ -134,6 +151,23 @@ pub trait Endpoint {
 
     /// A timer armed with `token` fired.
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64);
+
+    /// Whether [`Endpoint::on_packet`] has no observable effect, so the
+    /// engine may count packets addressed here instead of delivering
+    /// them (see the module docs). Asked once, by
+    /// [`Simulator::add_endpoint`]. An endpoint answering `true` must
+    /// not touch the [`Ctx`], the RNG, or any state another party can
+    /// read when a packet reaches it.
+    fn discards(&self) -> bool {
+        false
+    }
+}
+
+/// The packed key just after every key at time `t`: entries keyed
+/// below it are due by `t`.
+// lint:hot-path
+const fn key_through(t: Time) -> u128 {
+    key(t, u64::MAX)
 }
 
 /// Sentinel event key meaning "no event pending": real keys pack a
@@ -176,6 +210,29 @@ struct LinkEvents {
     tx_pkt: Option<Packet>,
     /// `(arrival time, seq, packet)` of packets in propagation, FIFO.
     arrivals: VecDeque<(Time, u64, Packet)>,
+    /// Packed keys of the arrivals elided because their packets end at
+    /// a discarding endpoint, FIFO and sorted like `arrivals`; drained
+    /// by [`LinkEvents::pop_elided_before`] as the clock passes them.
+    elided: VecDeque<u128>,
+}
+
+impl LinkEvents {
+    /// Pops the elided arrivals keyed before `limit`; returns how many
+    /// and the key of the last one (0 when none).
+    // lint:hot-path
+    fn pop_elided_before(&mut self, limit: u128) -> (u64, u128) {
+        let mut n = 0;
+        let mut last = 0;
+        while let Some(&k) = self.elided.front() {
+            if k >= limit {
+                break;
+            }
+            self.elided.pop_front();
+            n += 1;
+            last = k;
+        }
+        (n, last)
+    }
 }
 
 impl Default for LinkEvents {
@@ -185,6 +242,7 @@ impl Default for LinkEvents {
             arr_key: KEY_NONE,
             tx_pkt: None,
             arrivals: VecDeque::new(),
+            elided: VecDeque::new(),
         }
     }
 }
@@ -201,17 +259,27 @@ enum Pending {
 /// loop (plain integers — no atomics, no clocks) so they are a pure
 /// function of the simulation inputs. Harvested by the telemetry layer
 /// *after* a run; the engine itself never reads them back.
+///
+/// `events`, `arrival_events` and `packets_delivered` are *logical*
+/// counts: an arrival elided at a discarding endpoint (module docs)
+/// counts in all three, at the moment its dispatch would have, so they
+/// keep the meaning and the values they had before arrivals could be
+/// elided. [`EngineCounters::elided_arrivals`] says how many of them
+/// were counted rather than dispatched.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EngineCounters {
-    /// Total events dispatched ([`Simulator::step`] calls that popped).
-    /// Derived: the sum of the three per-kind event tallies.
+    /// Total logical events: dispatched plus elided. Derived: the sum
+    /// of the three per-kind event tallies.
     pub events: u64,
     /// Timer callbacks dispatched.
     pub timer_events: u64,
     /// Link serializations completed.
     pub txdone_events: u64,
-    /// Propagation arrivals dispatched.
+    /// Propagation arrivals, dispatched or elided.
     pub arrival_events: u64,
+    /// The subset of `arrival_events` elided at a discarding endpoint:
+    /// counted once the clock passed them, never dispatched.
+    pub elided_arrivals: u64,
     /// Packets offered to a link (one per hop entry). Derived: the sum
     /// of the three offer outcomes.
     pub packets_offered: u64,
@@ -221,7 +289,8 @@ pub struct EngineCounters {
     pub packets_queued: u64,
     /// Offers dropped at a full buffer (droptail/RED).
     pub packets_dropped: u64,
-    /// Packets delivered to a destination endpoint.
+    /// Packets delivered to a destination endpoint (elided arrivals
+    /// included).
     pub packets_delivered: u64,
     /// Endpoint calls into the engine: every [`Ctx::send`] and
     /// [`Ctx::set_timer`], each applied inline against the simulator.
@@ -278,6 +347,7 @@ impl EnginePool {
                 .iter()
                 .map(|le| le.arrivals.capacity())
                 .sum(),
+            elided_entries: self.link_events.iter().map(|le| le.elided.capacity()).sum(),
         }
     }
 }
@@ -295,6 +365,8 @@ pub struct PoolCapacity {
     pub link_states: usize,
     /// Summed capacity of the per-link arrival FIFOs.
     pub arrival_entries: usize,
+    /// Summed capacity of the per-link FIFOs of elided arrivals.
+    pub elided_entries: usize,
 }
 
 /// The discrete-event simulator.
@@ -343,6 +415,9 @@ pub struct Simulator {
     /// [`Simulator::add_link`].
     spare_link_events: Vec<LinkEvents>,
     endpoints: Vec<Option<Box<dyn Endpoint>>>,
+    /// Parallel to `endpoints`: each one's [`Endpoint::discards`],
+    /// asked once when it was added.
+    discards: Vec<bool>,
     rng: StdRng,
     counters: EngineCounters,
 }
@@ -365,6 +440,7 @@ impl Simulator {
             link_events: Vec::new(),
             spare_link_events: pool.link_events,
             endpoints: Vec::new(),
+            discards: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             counters: EngineCounters::default(),
         }
@@ -385,6 +461,7 @@ impl Simulator {
             le.arr_key = KEY_NONE;
             le.tx_pkt = None;
             le.arrivals.clear();
+            le.elided.clear();
             spare_link_events.push(le);
         }
         EnginePool {
@@ -405,6 +482,7 @@ impl Simulator {
     /// Adds an endpoint; returns its id.
     pub fn add_endpoint(&mut self, endpoint: Box<dyn Endpoint>) -> EndpointId {
         let id = EndpointId(self.endpoints.len() as u32);
+        self.discards.push(endpoint.discards());
         self.endpoints.push(Some(endpoint));
         id
     }
@@ -423,7 +501,8 @@ impl Simulator {
         self.now
     }
 
-    /// Total events dispatched so far (engine-throughput benchmarks).
+    /// Total logical events so far (engine-throughput benchmarks):
+    /// dispatched plus elided, as in [`EngineCounters::events`].
     pub fn events_processed(&self) -> u64 {
         let c = &self.counters;
         c.timer_events + c.txdone_events + c.arrival_events
@@ -524,9 +603,11 @@ impl Simulator {
     }
 
     /// Dispatches a single event. Returns `false` when no events are
-    /// pending.
+    /// pending. Private: with arrivals elided, one call is not one
+    /// logical event, and only the run loops settle the elided arrivals
+    /// still pending when they return.
     // lint:hot-path
-    pub fn step(&mut self) -> bool {
+    fn step(&mut self) -> bool {
         match self.peek_next() {
             Some((_, pending)) => {
                 self.dispatch(pending);
@@ -543,6 +624,14 @@ impl Simulator {
     fn dispatch(&mut self, pending: Pending) {
         match pending {
             Pending::Timer => {
+                // A wheel advance reads the clock, and one comes when
+                // the live batch runs dry on this pop or the peek after
+                // it. Settle first the elided arrivals ahead of this
+                // timer, so the wheel reads the clock it would have read
+                // had they been dispatched.
+                if self.wheel.batched() <= 1 {
+                    self.settle_elided(self.wheel_head);
+                }
                 // `peek_next` saw the cached head. The live batch holds
                 // it unless the head sits in a slot not yet extracted —
                 // then the full pop runs the advance.
@@ -584,14 +673,30 @@ impl Simulator {
                     sent.advance_hop();
                     let seq = self.next_seq();
                     let arrive = self.now + delay;
+                    let elide = sent.next_hop().is_none()
+                        && self.discards.get(sent.dst.0 as usize) == Some(&true);
                     let le = &mut self.link_events[li];
-                    if let Some(&(tail_at, _, _)) = le.arrivals.back() {
-                        debug_assert!(tail_at <= arrive, "arrival FIFO out of order");
+                    if elide {
+                        // Unobserved delivery: keep only the key. The
+                        // ones already due are settled first, so the
+                        // FIFO holds only packets in propagation.
+                        let (due, _) = le.pop_elided_before(key_through(self.now));
+                        debug_assert!(
+                            le.elided.back() < Some(&key(arrive, seq)),
+                            "elided FIFO out of order"
+                        );
+                        // lint:allow(hot-path-alloc): per-link elided-arrival FIFO retains capacity (pooled across traces) and is drained to the packets in propagation on every push
+                        le.elided.push_back(key(arrive, seq));
+                        self.count_elided(due);
                     } else {
-                        le.arr_key = key(arrive, seq);
+                        if let Some(&(tail_at, _, _)) = le.arrivals.back() {
+                            debug_assert!(tail_at <= arrive, "arrival FIFO out of order");
+                        } else {
+                            le.arr_key = key(arrive, seq);
+                        }
+                        // lint:allow(hot-path-alloc): per-link arrival FIFO retains capacity (pooled across traces)
+                        le.arrivals.push_back((arrive, seq, sent));
                     }
-                    // lint:allow(hot-path-alloc): per-link arrival FIFO retains capacity (pooled across traces)
-                    le.arrivals.push_back((arrive, seq, sent));
                 }
             }
             Pending::Arrival(i) => {
@@ -617,12 +722,42 @@ impl Simulator {
             }
             self.dispatch(pending);
         }
+        self.settle_elided(key_through(t));
         self.now = self.now.max(t);
     }
 
-    /// Runs until the event schedule drains (all traffic quiesces).
+    /// Runs until the event schedule drains (all traffic quiesces). The
+    /// clock ends at the last event, elided arrivals included.
     pub fn run_to_quiescence(&mut self) {
         while self.step() {}
+        self.settle_elided(KEY_NONE);
+    }
+
+    /// Counts `n` elided arrivals as the arrivals and deliveries their
+    /// dispatch would have counted.
+    // lint:hot-path
+    fn count_elided(&mut self, n: u64) {
+        self.counters.arrival_events += n;
+        self.counters.packets_delivered += n;
+        self.counters.elided_arrivals += n;
+    }
+
+    /// Settles every link's elided arrivals keyed before `limit`: counts
+    /// them and moves the clock to the last one, as dispatching them
+    /// would have.
+    // lint:hot-path
+    fn settle_elided(&mut self, limit: u128) {
+        let mut n = 0;
+        let mut last = 0;
+        for le in &mut self.link_events {
+            let (due, k) = le.pop_elided_before(limit);
+            n += due;
+            last = last.max(k);
+        }
+        if n > 0 {
+            self.count_elided(n);
+            self.now = self.now.max(key_at(last));
+        }
     }
 
     /// Offers `packet` to the next link on its route, or delivers it.

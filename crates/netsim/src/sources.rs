@@ -18,8 +18,10 @@
 //! single self-rearming timer; drivers bootstrap them with
 //! [`crate::Simulator::schedule_timer`] (token 0) at their start time.
 //!
-//! [`Sink`] counts delivered traffic; [`Reflector`] echoes probe packets
-//! back to their sender (the far end of ping).
+//! [`Sink`] counts delivered traffic — or, once its handle is dropped,
+//! lets the engine skip delivering to it ([`Endpoint::discards`]);
+//! [`Reflector`] echoes probe packets back to their sender (the far end
+//! of ping).
 
 use crate::engine::{Ctx, Endpoint, EndpointId};
 use crate::packet::{Packet, Payload, Route};
@@ -340,6 +342,16 @@ impl Endpoint for Sink {
     }
 
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
+
+    /// `true` when the [`RxHandle`] returned by [`Sink::new`] is gone
+    /// by the time the sink is added: then nothing can read the
+    /// counters, the only effect of [`Endpoint::on_packet`] here, so
+    /// the engine need not deliver. `let (sink, _) = Sink::new();` drops
+    /// the handle at once; `Sink::new().0` inside the `add_endpoint`
+    /// call keeps it alive (as a temporary) until the call returns.
+    fn discards(&self) -> bool {
+        Rc::strong_count(&self.counter) == 1
+    }
 }
 
 /// Echoes probe packets back to their source over a configured reverse

@@ -159,6 +159,13 @@ impl TimerWheel {
         self.len == 0
     }
 
+    /// Entries left in the extracted batch: while more than one is
+    /// left, a pop and the peek after it do not advance the wheel (and
+    /// so do not read `now`).
+    pub(crate) fn batched(&self) -> usize {
+        self.batch.len() - self.batch_pos
+    }
+
     /// Deterministic scheduling tallies.
     pub fn counters(&self) -> WheelCounters {
         self.counters

@@ -1,0 +1,365 @@
+//! Eliding unobserved arrivals (DESIGN.md §14, "Unobserved
+//! deliveries") changes nothing anyone can observe: a world whose
+//! cross traffic ends at sinks nobody holds a handle to runs exactly
+//! like the same world with the handles kept — same counters (elided
+//! arrivals aside), same clock, same link statistics, same outputs at
+//! the observed endpoints — at every checkpoint, including cut-offs
+//! with packets still in propagation. And the elided-arrival FIFO holds
+//! only the packets in propagation, not a whole run's worth of keys.
+
+use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
+use tputpred_netsim::link::LinkConfig;
+use tputpred_netsim::random::exponential;
+use tputpred_netsim::sources::{
+    CbrSource, ParetoOnOffSource, PoissonSource, RxHandle, Sink, SourceConfig,
+};
+use tputpred_netsim::{
+    Ctx, Endpoint, EndpointId, EngineCounters, EnginePool, LinkId, LinkStats, Packet, Payload,
+    RateSchedule, Route, Simulator, Time,
+};
+
+/// Everything an observer of the world can read.
+type Log = Rc<RefCell<Vec<(Time, u64)>>>;
+
+/// Logs the arrival time and size of every packet it receives.
+struct Recorder {
+    log: Log,
+}
+
+impl Endpoint for Recorder {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: Packet) {
+        self.log
+            .borrow_mut()
+            .push((ctx.now, u64::from(packet.size)));
+    }
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
+}
+
+/// The observed flow: sends one packet per timer, re-arming after an
+/// exponential gap drawn from the shared RNG (so any change in the RNG
+/// stream or the clock shows in its log), and now and then arms a timer
+/// past the wheel horizon, which only logs.
+struct Jitter {
+    route: Route,
+    dst: EndpointId,
+    mean_gap_s: f64,
+    stop: Time,
+    log: Log,
+}
+
+impl Endpoint for Jitter {
+    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _packet: Packet) {}
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        self.log.borrow_mut().push((ctx.now, token));
+        if token != 0 || ctx.now >= self.stop {
+            return;
+        }
+        ctx.send(self.route, self.dst, 600, Payload::Raw);
+        let gap = exponential(ctx.rng(), self.mean_gap_s);
+        ctx.set_timer_after(0, Time::from_secs_f64(gap));
+        if exponential(ctx.rng(), 1.0) > 2.5 {
+            let far = Time::from_secs_f64(1.1 + exponential(ctx.rng(), 0.5));
+            ctx.set_timer_after(1, far);
+        }
+    }
+}
+
+/// One draw of the world's shape.
+#[derive(Debug, Clone)]
+struct Shape {
+    seed: u64,
+    rate_bps: f64,
+    delay1_ms: u64,
+    delay2_ms: u64,
+    buffer: u32,
+    loads: (f64, f64, f64),
+    stop: Time,
+}
+
+struct World {
+    sim: Simulator,
+    links: [LinkId; 2],
+    received: Log,
+    sent: Log,
+    /// The cross-traffic sinks' handles, when kept.
+    sinks: Vec<RxHandle>,
+}
+
+/// Builds the world: CBR and Poisson cross traffic over the bottleneck
+/// `l1`, Pareto on-off over the two-hop route `l1 → l2` (so its
+/// arrivals at `l2`'s far end are the only ones at the last hop), and
+/// the observed flow sharing `l1`.
+fn build(shape: &Shape, keep_handles: bool) -> World {
+    let mut sim = Simulator::new(shape.seed);
+    let l1 = sim.add_link(LinkConfig::new(
+        shape.rate_bps,
+        Time::from_millis(shape.delay1_ms),
+        shape.buffer,
+    ));
+    let l2 = sim.add_link(LinkConfig::new(
+        shape.rate_bps * 3.0,
+        Time::from_millis(shape.delay2_ms),
+        200,
+    ));
+    let mut sinks = Vec::new();
+    let mut sink = || {
+        let (sink, rx) = Sink::new();
+        if keep_handles {
+            sinks.push(rx);
+        }
+        sink
+    };
+    let near = sim.add_endpoint(Box::new(sink()));
+    let far = sim.add_endpoint(Box::new(sink()));
+    let cfg = |route: Route, dst: EndpointId, load: f64| SourceConfig {
+        route,
+        dst,
+        packet_size: 1000,
+        base_rate_bps: shape.rate_bps * load,
+        schedule: RateSchedule::constant(1.0),
+        stop: shape.stop,
+    };
+    let (l1_only, both) = (Route::direct(l1), Route::new(&[l1, l2]));
+    let (cbr, poisson, pareto) = shape.loads;
+    let sources: [Box<dyn Endpoint>; 3] = [
+        Box::new(CbrSource::new(cfg(l1_only, near, cbr)).0),
+        Box::new(PoissonSource::new(cfg(l1_only, near, poisson)).0),
+        Box::new(ParetoOnOffSource::new(cfg(both, far, pareto), 0.5, 1.6, 0.05).0),
+    ];
+    for src in sources {
+        let id = sim.add_endpoint(src);
+        sim.schedule_timer(id, 0, Time::ZERO);
+    }
+    let received = Log::default();
+    let recorder = sim.add_endpoint(Box::new(Recorder {
+        log: Rc::clone(&received),
+    }));
+    let sent = Log::default();
+    let jitter = sim.add_endpoint(Box::new(Jitter {
+        route: l1_only,
+        dst: recorder,
+        mean_gap_s: 0.004,
+        stop: shape.stop,
+        log: Rc::clone(&sent),
+    }));
+    sim.schedule_timer(jitter, 0, Time::from_millis(1));
+    World {
+        sim,
+        links: [l1, l2],
+        received,
+        sent,
+        sinks,
+    }
+}
+
+/// What a checkpoint compares: the counters with `elided_arrivals`
+/// masked, the clock, both links' statistics and the observed logs.
+type Snapshot = (
+    EngineCounters,
+    Time,
+    [LinkStats; 2],
+    Vec<(Time, u64)>,
+    Vec<(Time, u64)>,
+);
+
+fn snapshot(w: &World) -> Snapshot {
+    let counters = EngineCounters {
+        elided_arrivals: 0,
+        ..w.sim.counters()
+    };
+    let stats = w.links.map(|l| *w.sim.link(l).stats());
+    let logs = (w.received.borrow().clone(), w.sent.borrow().clone());
+    (counters, w.sim.now(), stats, logs.0, logs.1)
+}
+
+fn shape_strategy() -> impl Strategy<Value = Shape> {
+    (
+        (0u64..u64::MAX, 2e6..20e6, 1u64..30, 1u64..30, 3u32..60),
+        (0.05..0.6, 0.05..0.6, 0.05..0.6, 200u64..1500),
+    )
+        .prop_map(
+            |((seed, rate_bps, delay1_ms, delay2_ms, buffer), (a, b, c, stop_ms))| Shape {
+                seed,
+                rate_bps,
+                delay1_ms,
+                delay2_ms,
+                buffer,
+                loads: (a, b, c),
+                stop: Time::from_millis(stop_ms),
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn dropped_handles_change_nothing_observable(
+        shape in shape_strategy(),
+        checkpoints_ms in prop::collection::vec(0u64..2000, 1..8),
+    ) {
+        let mut kept = build(&shape, true);
+        let mut dropped = build(&shape, false);
+        let mut checkpoints_ms = checkpoints_ms;
+        checkpoints_ms.sort_unstable();
+        for &ms in &checkpoints_ms {
+            let t = Time::from_millis(ms);
+            kept.sim.run_until(t);
+            dropped.sim.run_until(t);
+            prop_assert_eq!(snapshot(&kept), snapshot(&dropped), "at {} ms", ms);
+            prop_assert_eq!(kept.sim.counters().elided_arrivals, 0);
+        }
+        kept.sim.run_to_quiescence();
+        dropped.sim.run_to_quiescence();
+        prop_assert_eq!(snapshot(&kept), snapshot(&dropped), "after quiescence");
+        let (k, d) = (kept.sim.counters(), dropped.sim.counters());
+        prop_assert_eq!(k.elided_arrivals, 0);
+        prop_assert!(d.elided_arrivals > 0, "{:?}", d);
+        // Every delivery to a cross-traffic sink was elided, and nothing
+        // else was.
+        let sunk: u64 = kept.sinks.iter().map(|rx| rx.borrow().packets).sum();
+        prop_assert_eq!(d.elided_arrivals, sunk);
+    }
+}
+
+/// Sends `count` packets back to back when its timer fires.
+struct Burst {
+    route: Route,
+    dst: EndpointId,
+    count: u32,
+}
+
+impl Endpoint for Burst {
+    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _packet: Packet) {}
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+        for _ in 0..self.count {
+            ctx.send(self.route, self.dst, 1500, Payload::Raw);
+        }
+    }
+}
+
+#[test]
+fn elided_fifo_holds_only_packets_in_propagation() {
+    // 4000 packets of 1.2 ms each (1500 B at 10 Mbps) serialize back to
+    // back for 4.8 s with no timer in between, inside one `run_until`:
+    // only the per-push settling can keep the FIFO short.
+    let (rate_bps, delay, count) = (10e6, Time::from_millis(20), 4000);
+    let mut sim = Simulator::new(3);
+    let link = sim.add_link(LinkConfig::new(rate_bps, delay, count));
+    let (sink, _) = Sink::new();
+    let sink = sim.add_endpoint(Box::new(sink));
+    let burst = sim.add_endpoint(Box::new(Burst {
+        route: Route::direct(link),
+        dst: sink,
+        count,
+    }));
+    sim.schedule_timer(burst, 0, Time::ZERO);
+    sim.run_until(Time::from_secs(10));
+    let c = sim.counters();
+    assert_eq!(c.elided_arrivals, u64::from(count), "{c:?}");
+    assert_eq!(c.packets_delivered, u64::from(count));
+    let tx = Time::tx_time(1500, rate_bps);
+    let in_propagation = (delay.as_nanos() / tx.as_nanos() + 1) as usize;
+    let capacity = sim.into_pool().capacity().elided_entries;
+    assert!(
+        capacity <= (2 * in_propagation).max(4),
+        "elided FIFO grew to {capacity} entries; at most {in_propagation} are ever in propagation"
+    );
+}
+
+#[test]
+fn elided_fifo_reaches_a_steady_state_in_the_pool() {
+    let run = |pool: EnginePool| {
+        let mut sim = Simulator::with_pool(5, pool);
+        let link = sim.add_link(LinkConfig::new(10e6, Time::from_millis(20), 100));
+        let (sink, _) = Sink::new();
+        let sink = sim.add_endpoint(Box::new(sink));
+        let burst = sim.add_endpoint(Box::new(Burst {
+            route: Route::direct(link),
+            dst: sink,
+            count: 100,
+        }));
+        sim.schedule_timer(burst, 0, Time::ZERO);
+        sim.run_to_quiescence();
+        (sim.counters(), sim.now(), sim.into_pool())
+    };
+    let (first, end, pool) = run(EnginePool::new());
+    assert_eq!(first.elided_arrivals, 100);
+    // The clock ends at the last (elided) arrival: 100 serializations
+    // of 1.2 ms, then 20 ms of propagation.
+    assert_eq!(end, Time::from_millis(140));
+    let warm = pool.capacity();
+    assert!(warm.elided_entries > 0, "{warm:?}");
+    let (second, _, pool) = run(pool);
+    assert_eq!(second, first);
+    assert_eq!(pool.capacity(), warm);
+}
+
+/// Arms its timers when a packet reaches it, and logs them firing.
+struct Armer {
+    at: [Time; 3],
+    log: Log,
+}
+
+impl Endpoint for Armer {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, _packet: Packet) {
+        for (token, &at) in (0..).zip(&self.at) {
+            ctx.set_timer(token, at);
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        self.log.borrow_mut().push((ctx.now, token));
+    }
+}
+
+#[test]
+fn the_wheel_reads_the_clock_elided_arrivals_leave() {
+    // At 10 ms a packet reaches the armer, which arms two timers in one
+    // wheel slot at 1 s and a third past the wheel horizon at 1.5 s,
+    // while the wheel is otherwise empty. At 0.9 s a packet reaches the
+    // sink. Popping the 1 s timer advances the wheel from the clock the
+    // event before it left: 0.9 s, which brings the 1.5 s timer inside
+    // the horizon, so it migrates then. An elided arrival must leave the
+    // same clock, or the migration shows up one wheel advance late.
+    let run = |keep_handle: bool| {
+        let mut sim = Simulator::new(9);
+        let near = sim.add_link(LinkConfig::new(100e6, Time::from_millis(10), 10));
+        let slow = sim.add_link(LinkConfig::new(100e6, Time::from_millis(900), 10));
+        let (sink, rx) = Sink::new();
+        let _kept = keep_handle.then_some(rx);
+        let sink = sim.add_endpoint(Box::new(sink));
+        let log = Log::default();
+        let armer = sim.add_endpoint(Box::new(Armer {
+            at: [
+                Time::from_secs(1),
+                Time::from_nanos(1_000_005_000),
+                Time::from_millis(1500),
+            ],
+            log: Rc::clone(&log),
+        }));
+        for (route, dst) in [(Route::direct(near), armer), (Route::direct(slow), sink)] {
+            let id = sim.add_endpoint(Box::new(Burst {
+                route,
+                dst,
+                count: 1,
+            }));
+            sim.schedule_timer(id, 0, Time::ZERO);
+        }
+        // Cut off between the two timers of the 1 s slot: the next wheel
+        // advance has not happened yet.
+        sim.run_until(Time::from_nanos(1_000_002_000));
+        let log = log.borrow().clone();
+        (sim.counters(), sim.now(), log)
+    };
+    let (kept, dropped) = (run(true), run(false));
+    assert_eq!(kept.0.overflow_scheduled, 1, "{:?}", kept.0);
+    assert_eq!(kept.0.overflow_migrated, 1, "{:?}", kept.0);
+    assert_eq!(dropped.0.elided_arrivals, 1);
+    let masked = EngineCounters {
+        elided_arrivals: 0,
+        ..dropped.0
+    };
+    assert_eq!((masked, dropped.1, dropped.2), kept);
+}

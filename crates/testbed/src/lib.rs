@@ -63,7 +63,7 @@ pub use faults::{
     TransferFault,
 };
 pub use path::{catalog_2004, catalog_2006, CrossProfile, PathConfig};
-pub use preset::Preset;
+pub use preset::{CatalogKind, Preset};
 pub use runner::{
     catalog_for, for_each_path, generate, generate_path, load_or_generate_sharded, run_trace,
     run_trace_pooled, set_generation_workers, trace_seed,

@@ -11,11 +11,28 @@ use serde::{Deserialize, Serialize};
 use tputpred_netsim::Time;
 use tputpred_tcp::TcpConfig;
 
+/// The path catalog a preset draws from (see
+/// [`crate::runner::catalog_for`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum CatalogKind {
+    /// The 2004-style catalog ([`crate::path::catalog_2004`]).
+    Y2004,
+    /// The 2006-style catalog ([`crate::path::catalog_2006`]).
+    Y2006,
+    /// The procedural five-class catalog ([`crate::synth::synth_catalog`],
+    /// DESIGN.md §15).
+    Synth,
+}
+
 /// Every knob of a dataset-generation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Preset {
-    /// Catalog label recorded into the dataset.
+    /// Catalog label recorded into the dataset; also names the cache
+    /// folder. It does not choose the catalog: `catalog` does.
     pub name: String,
+    /// The catalog the paths are drawn from. Derived presets inherit it
+    /// from their base through `..base`.
+    pub catalog: CatalogKind,
     /// Paths in the catalog.
     pub paths: usize,
     /// Traces collected per path (the paper: 7).
@@ -58,6 +75,7 @@ impl Preset {
     pub fn paper() -> Self {
         Preset {
             name: "paper".into(),
+            catalog: CatalogKind::Y2004,
             paths: 35,
             traces_per_path: 7,
             epochs_per_trace: 150,
@@ -81,6 +99,7 @@ impl Preset {
     pub fn quick() -> Self {
         Preset {
             name: "quick".into(),
+            catalog: CatalogKind::Y2004,
             paths: 35,
             traces_per_path: 2,
             epochs_per_trace: 40,
@@ -102,6 +121,7 @@ impl Preset {
     pub fn tiny() -> Self {
         Preset {
             name: "tiny".into(),
+            catalog: CatalogKind::Y2004,
             paths: 4,
             traces_per_path: 1,
             epochs_per_trace: 12,
@@ -125,6 +145,7 @@ impl Preset {
     pub fn quick_2006() -> Self {
         Preset {
             name: "quick-2006".into(),
+            catalog: CatalogKind::Y2006,
             paths: 24,
             traces_per_path: 1,
             epochs_per_trace: 25,
@@ -150,6 +171,7 @@ impl Preset {
     pub fn synth1k() -> Self {
         Preset {
             name: "synth1k".into(),
+            catalog: CatalogKind::Synth,
             paths: 1000,
             traces_per_path: 1,
             epochs_per_trace: 6,

@@ -16,7 +16,7 @@
 use crate::data::{regenerate_all, Dataset, EpochFaults, EpochRecord, PathData, TraceData};
 use crate::faults::{EpochFaultPlan, FaultPlan, TransferFault};
 use crate::path::{catalog_2004, catalog_2006, PathConfig};
-use crate::preset::Preset;
+use crate::preset::{CatalogKind, Preset};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tputpred_netsim::link::LinkConfig;
@@ -275,6 +275,7 @@ fn flush_trace_telemetry(world: &TraceWorld, trace_len: Time) {
     obs::add("netsim.timer_events", c.timer_events);
     obs::add("netsim.txdone_events", c.txdone_events);
     obs::add("netsim.arrival_events", c.arrival_events);
+    obs::add("netsim.elided_arrivals", c.elided_arrivals);
     obs::add("netsim.packets_offered", c.packets_offered);
     obs::add("netsim.packets_tx_started", c.packets_tx_started);
     obs::add("netsim.packets_queued", c.packets_queued);
@@ -544,17 +545,15 @@ pub fn run_trace_pooled(
     TraceData { records }
 }
 
-/// The catalog a preset draws its paths from: the procedural
-/// five-class catalog (DESIGN.md §15) for `synth*` presets, the
-/// 2006-style catalog for `*-2006` presets, the 2004-style one
-/// otherwise.
+/// The catalog a preset draws its paths from, as its
+/// [`Preset::catalog`] says: the 2004-style or 2006-style catalog, or
+/// the procedural five-class one (DESIGN.md §15). The preset's name
+/// plays no part.
 pub fn catalog_for(preset: &Preset) -> Vec<PathConfig> {
-    if preset.name.contains("synth") {
-        crate::synth::synth_catalog(preset.paths, preset.seed)
-    } else if preset.name.contains("2006") {
-        catalog_2006(preset.paths, preset.seed)
-    } else {
-        catalog_2004(preset.paths, preset.seed)
+    match preset.catalog {
+        CatalogKind::Y2004 => catalog_2004(preset.paths, preset.seed),
+        CatalogKind::Y2006 => catalog_2006(preset.paths, preset.seed),
+        CatalogKind::Synth => crate::synth::synth_catalog(preset.paths, preset.seed),
     }
 }
 
@@ -670,6 +669,7 @@ mod tests {
     fn mini_preset() -> Preset {
         Preset {
             name: "mini".into(),
+            catalog: CatalogKind::Y2004,
             paths: 3,
             traces_per_path: 1,
             epochs_per_trace: 3,
@@ -1001,10 +1001,24 @@ mod tests {
     }
 
     #[test]
-    fn catalog_for_selects_by_preset_name() {
+    fn catalog_for_selects_by_catalog_kind() {
         assert_eq!(catalog_for(&Preset::quick()).len(), 35);
         let c2006 = catalog_for(&Preset::quick_2006());
         assert_eq!(c2006.len(), 24);
         assert!(c2006.iter().all(|p| !p.name.starts_with("eu")));
+    }
+
+    #[test]
+    fn a_renamed_preset_keeps_its_catalog() {
+        // Catalog words in a name ("synth", "2006") must not switch
+        // the catalog: only the `catalog` field does.
+        let renamed = Preset {
+            name: "x-synth-2006".into(),
+            ..Preset::quick()
+        };
+        assert_eq!(
+            catalog_for(&renamed),
+            catalog_2004(renamed.paths, renamed.seed)
+        );
     }
 }

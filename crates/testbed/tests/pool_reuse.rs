@@ -7,12 +7,13 @@
 use tputpred_netsim::{EnginePool, Time};
 use tputpred_testbed::faults::{FaultConfig, RegimeConfig};
 use tputpred_testbed::path::catalog_2004;
-use tputpred_testbed::preset::Preset;
+use tputpred_testbed::preset::{CatalogKind, Preset};
 use tputpred_testbed::runner::{run_trace, run_trace_pooled};
 
 fn tiny_preset() -> Preset {
     Preset {
         name: "pool-mini".into(),
+        catalog: CatalogKind::Y2004,
         paths: 1,
         traces_per_path: 1,
         epochs_per_trace: 2,
@@ -44,6 +45,9 @@ fn pooled_traces_replay_identically_with_steady_state_capacity() {
     let first = run_trace_pooled(&path, 0, &preset, &mut pool);
     let warm = pool.capacity();
     assert!(warm.arrival_entries > 0, "{warm:?}");
+    // The cross traffic ends at sinks nobody observes, so its arrivals
+    // are elided and their FIFOs are pooled too.
+    assert!(warm.elided_entries > 0, "{warm:?}");
     assert!(warm.link_states >= 2, "fwd + rev pooled: {warm:?}");
     assert!(warm.wheel_slot_entries > 0, "{warm:?}");
 

@@ -14,13 +14,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use tputpred_netsim::Time;
 use tputpred_testbed::data::shard_file_name;
 use tputpred_testbed::{
-    catalog_for, for_each_path, generate_path, Dataset, FaultConfig, PathData, Preset,
+    catalog_for, for_each_path, generate_path, CatalogKind, Dataset, FaultConfig, PathData, Preset,
     RegimeConfig, ShardStats,
 };
 
 fn mutation_preset() -> Preset {
     Preset {
         name: "decodemutation".into(),
+        catalog: CatalogKind::Y2004,
         paths: 3,
         traces_per_path: 2,
         epochs_per_trace: 4,

@@ -15,13 +15,14 @@ use std::path::PathBuf;
 use tputpred_netsim::Time;
 use tputpred_testbed::data::{shard_file_name, SHARD_MANIFEST};
 use tputpred_testbed::{
-    catalog_for, for_each_path, generate, load_or_generate_sharded, FaultConfig, Preset,
-    RegimeConfig, ShardStats,
+    catalog_for, for_each_path, generate, load_or_generate_sharded, CatalogKind, FaultConfig,
+    Preset, RegimeConfig, ShardStats,
 };
 
 fn pin_preset() -> Preset {
     Preset {
         name: "shardpin".into(),
+        catalog: CatalogKind::Y2004,
         paths: 4,
         traces_per_path: 1,
         epochs_per_trace: 2,

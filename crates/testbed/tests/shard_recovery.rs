@@ -12,13 +12,14 @@ use std::sync::Mutex;
 use tputpred_netsim::Time;
 use tputpred_testbed::data::shard_file_name;
 use tputpred_testbed::{
-    catalog_for, for_each_path, generate_path, Dataset, FaultConfig, PathData, Preset,
+    catalog_for, for_each_path, generate_path, CatalogKind, Dataset, FaultConfig, PathData, Preset,
     RegimeConfig, ShardStats,
 };
 
 fn recovery_preset() -> Preset {
     Preset {
         name: "shardrecovery".into(),
+        catalog: CatalogKind::Y2004,
         paths: 4,
         traces_per_path: 1,
         epochs_per_trace: 2,

@@ -11,11 +11,12 @@
 
 use tputpred_netsim::Time;
 use tputpred_obs as obs;
-use tputpred_testbed::{generate, FaultConfig, Preset, RegimeConfig};
+use tputpred_testbed::{generate, CatalogKind, FaultConfig, Preset, RegimeConfig};
 
 fn purity_preset() -> Preset {
     Preset {
         name: "purity".into(),
+        catalog: CatalogKind::Y2004,
         paths: 3,
         traces_per_path: 1,
         epochs_per_trace: 2,

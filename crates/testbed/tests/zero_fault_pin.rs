@@ -6,7 +6,7 @@
 //! own RNG stream precisely so this value never moves.
 
 use tputpred_netsim::Time;
-use tputpred_testbed::{generate, EpochStatus, FaultConfig, Preset, RegimeConfig};
+use tputpred_testbed::{generate, CatalogKind, EpochStatus, FaultConfig, Preset, RegimeConfig};
 
 /// Measurement fingerprint of `pin_preset()` generation, captured from
 /// the pre-fault-layer tree. If this test fails, the fault layer leaked
@@ -17,6 +17,7 @@ const PRE_FAULT_LAYER_FINGERPRINT: u64 = 0xb04a_5f72_dc8c_4a72;
 fn pin_preset() -> Preset {
     Preset {
         name: "pin".into(),
+        catalog: CatalogKind::Y2004,
         paths: 3,
         traces_per_path: 1,
         epochs_per_trace: 3,

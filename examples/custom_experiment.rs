@@ -13,13 +13,14 @@ use tcp_throughput_predictability::core::lso::Lso;
 use tcp_throughput_predictability::core::metrics::{evaluate, relative_error_floored, rmsre};
 use tcp_throughput_predictability::netsim::Time;
 use tcp_throughput_predictability::testbed::{
-    catalog_2004, run_trace, FaultConfig, Preset, RegimeConfig,
+    catalog_2004, run_trace, CatalogKind, FaultConfig, Preset, RegimeConfig,
 };
 
 fn main() {
     // A compact custom preset: short epochs, no window-limited extras.
     let preset = Preset {
         name: "custom".into(),
+        catalog: CatalogKind::Y2004,
         paths: 5,
         traces_per_path: 1,
         epochs_per_trace: 25,

@@ -10,13 +10,14 @@ use tcp_throughput_predictability::core::lso::Lso;
 use tcp_throughput_predictability::core::metrics::{evaluate, relative_error_floored, rmsre};
 use tcp_throughput_predictability::netsim::Time;
 use tcp_throughput_predictability::testbed::{
-    catalog_2004, generate, run_trace, Dataset, FaultConfig, Preset, RegimeConfig,
+    catalog_2004, generate, run_trace, CatalogKind, Dataset, FaultConfig, Preset, RegimeConfig,
 };
 
 /// A small-but-meaningful preset: 6 paths, 1 trace, 14 epochs.
 fn test_preset() -> Preset {
     Preset {
         name: "integration".into(),
+        catalog: CatalogKind::Y2004,
         paths: 6,
         traces_per_path: 1,
         epochs_per_trace: 14,
