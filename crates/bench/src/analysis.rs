@@ -5,7 +5,7 @@
 use crate::cli::Args;
 use tputpred_core::fb::{FbConfig, FbModel, FbPredictor, PartialEstimates, PathEstimates};
 use tputpred_core::hb::HoltWinters;
-use tputpred_core::lso::{Lso, LsoConfig};
+use tputpred_core::lso::Lso;
 use tputpred_core::metrics::{self, relative_error_floored};
 use tputpred_core::predictor::EpochObservation;
 use tputpred_stats::{pearson, quantile, render, spearman, Cdf, CdfError};
@@ -298,16 +298,6 @@ pub fn rmsre_per_trace(dataset: &Dataset, make: fn() -> BoxedPredictor) -> Vec<f
         .collect()
 }
 
-/// Segment-weighted CoV (§6.1.3) of every trace's throughput series.
-pub fn cov_per_trace(dataset: &Dataset) -> Vec<f64> {
-    dataset
-        .paths
-        .iter()
-        .flat_map(|p| p.traces.iter())
-        .filter_map(|t| metrics::segmented_cov(&t.throughput_series(), LsoConfig::default()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,13 +448,5 @@ mod tests {
     fn require_cdf_drops_non_finite_samples_and_keeps_the_rest() {
         let cdf = require_cdf("mixed", [1.0, f64::NAN, 3.0]).expect("two finite samples");
         assert_eq!(cdf.samples(), &[1.0, 3.0]);
-    }
-
-    #[test]
-    fn cov_per_trace_matches_series_variability() {
-        let ds = tiny_dataset();
-        let covs = cov_per_trace(&ds);
-        assert_eq!(covs.len(), 1);
-        assert!(covs[0] > 0.0 && covs[0] < 0.1);
     }
 }

@@ -1,10 +1,10 @@
-//! # tputpred-bench — figure regeneration and micro-benchmarks
+//! # tputpred-bench — figure regeneration and profiling
 //!
 //! Every table, figure, ablation and diagnostic of the paper's evaluation
 //! is a registered function in [`figures`] (see DESIGN.md's per-experiment
 //! index); the `repro` binary runs any subset of them in one process and
-//! writes their text to `results/`. The Criterion micro-benchmarks live
-//! in `benches/`. This library holds what they share:
+//! writes their text to `results/`, and `perf_report` profiles a dataset
+//! generation. This library holds what they share:
 //!
 //! * [`cli`] — the tiny `--preset <name> --data <dir>` argument parser
 //!   of `repro` and `perf_report`;

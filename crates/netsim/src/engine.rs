@@ -501,13 +501,6 @@ impl Simulator {
         self.now
     }
 
-    /// Total logical events so far (engine-throughput benchmarks):
-    /// dispatched plus elided, as in [`EngineCounters::events`].
-    pub fn events_processed(&self) -> u64 {
-        let c = &self.counters;
-        c.timer_events + c.txdone_events + c.arrival_events
-    }
-
     /// Deterministic engine-level tallies (events by kind, packet
     /// offer outcomes, commands applied, timer-wheel scheduling). The
     /// two aggregate tallies are derived here rather than double-counted
@@ -1149,7 +1142,6 @@ mod tests {
             c.events,
             c.timer_events + c.txdone_events + c.arrival_events
         );
-        assert_eq!(c.events, sim.events_processed());
         assert_eq!(c.wheel_scheduled, c.timer_events, "every timer bucketed");
         assert_eq!(c.timer_clamps, 0);
         // Replay: counters are part of the deterministic output.

@@ -30,8 +30,8 @@
 //! * [`schedule::RateSchedule`] — piecewise-constant load modulation with
 //!   level shifts and transient outlier bursts: the §5.2 time-series
 //!   pathologies, injected by construction.
-//! * [`random`] — inverse-transform samplers (exponential, Pareto,
-//!   log-normal) over any [`rand::Rng`].
+//! * [`random`] — inverse-transform samplers (exponential, Pareto)
+//!   over any [`rand::Rng`].
 
 pub mod engine;
 pub mod link;

@@ -2,7 +2,7 @@
 //! need.
 //!
 //! Implemented directly over [`rand::Rng`] rather than pulling in
-//! `rand_distr`: three one-line transforms do not justify a dependency,
+//! `rand_distr`: two one-line transforms do not justify a dependency,
 //! and keeping them here makes their exact form (and hence the
 //! simulation's reproducibility) part of this crate's contract.
 
@@ -43,18 +43,6 @@ pub fn pareto<R: Rng>(rng: &mut R, alpha: f64, xmin: f64) -> f64 {
 pub fn pareto_scale_for_mean(alpha: f64, mean: f64) -> f64 {
     debug_assert!(alpha > 1.0, "mean undefined for alpha ≤ 1");
     mean * (alpha - 1.0) / alpha
-}
-
-/// Samples a log-normal variate given the `median` and the σ of the
-/// underlying normal. Used for heterogeneous per-path parameter draws in
-/// the synthetic testbed (capacities, RTTs, load levels).
-pub fn log_normal<R: Rng>(rng: &mut R, median: f64, sigma: f64) -> f64 {
-    debug_assert!(median > 0.0, "log-normal median must be positive");
-    // Box–Muller.
-    let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-    let u2: f64 = rng.random::<f64>();
-    let z: f64 = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    median * (sigma * z).exp()
 }
 
 #[cfg(test)]
@@ -120,16 +108,6 @@ mod tests {
             par_exceed > 10 * exp_exceed.max(1),
             "pareto {par_exceed} vs exp {exp_exceed}"
         );
-    }
-
-    #[test]
-    fn log_normal_median_converges() {
-        let mut r = rng();
-        let n = 100_001;
-        let mut xs: Vec<f64> = (0..n).map(|_| log_normal(&mut r, 10.0, 0.5)).collect();
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = xs[n / 2];
-        assert!((median - 10.0).abs() < 0.3, "median {median}");
     }
 
     #[test]

@@ -225,11 +225,6 @@ impl RateSchedule {
         self.bursts.len()
     }
 
-    /// Times at which the base level shifts.
-    pub fn shift_times(&self) -> impl Iterator<Item = Time> + '_ {
-        self.segments.iter().skip(1).map(|s| s.start)
-    }
-
     /// Generates a random schedule for a trace of duration `horizon`:
     ///
     /// * level shifts arrive as a Poisson process of rate

@@ -279,11 +279,6 @@ impl TimeScope {
             timer_push(&cell, elapsed_ns);
         }
     }
-
-    /// Abandons the measurement without recording it.
-    pub fn cancel(&mut self) {
-        self.live = None;
-    }
 }
 
 impl Drop for TimeScope {

@@ -14,8 +14,6 @@
 //! * [`Summary`] — streaming mean/variance/min/max (Welford's algorithm).
 //! * [`RollingCov`] — sliding-window coefficient of variation, the gate
 //!   signal of the RTT-CV hybrid predictor.
-//! * [`Histogram`] — linear- or log-binned counting histograms for
-//!   compact textual summaries of heavy-tailed error distributions.
 //! * [`render`] — fixed-width text tables and series so every figure binary
 //!   prints the same rows/series the paper plots.
 //!
@@ -28,7 +26,6 @@
 
 pub mod cdf;
 pub mod corr;
-pub mod histogram;
 pub mod quantile;
 pub mod render;
 pub mod rolling;
@@ -36,7 +33,6 @@ pub mod summary;
 
 pub use cdf::{Cdf, CdfError};
 pub use corr::{pearson, spearman};
-pub use histogram::{Binning, Histogram};
 pub use quantile::{median, quantile};
 pub use rolling::RollingCov;
 pub use summary::Summary;

@@ -75,11 +75,6 @@ pub fn median(data: &[f64]) -> Option<f64> {
     quantile(data, 0.5)
 }
 
-/// Median of data already sorted in ascending order.
-pub fn median_sorted(sorted: &[f64]) -> f64 {
-    quantile_sorted(sorted, 0.5)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

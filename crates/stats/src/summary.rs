@@ -112,15 +112,6 @@ impl Summary {
         }
     }
 
-    /// Sample variance (divide by n−1); 0.0 with fewer than two samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.population_variance().sqrt()
@@ -168,7 +159,6 @@ mod tests {
         let s = Summary::from_samples([42.0]);
         assert_eq!(s.mean(), 42.0);
         assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.min(), 42.0);
         assert_eq!(s.max(), 42.0);
     }

@@ -1,7 +1,6 @@
 //! Property-based invariants of the statistics primitives.
 
 use proptest::prelude::*;
-use tputpred_stats::histogram::{Binning, Histogram};
 use tputpred_stats::{median, pearson, quantile, spearman, Cdf, Summary};
 
 fn sample() -> impl Strategy<Value = Vec<f64>> {
@@ -56,15 +55,6 @@ proptest! {
         prop_assert!((ab.mean() - ba.mean()).abs() < 1e-6 * scale);
         let vscale = 1.0 + ab.population_variance().abs();
         prop_assert!((ab.population_variance() - ba.population_variance()).abs() < 1e-4 * vscale);
-    }
-
-    #[test]
-    fn histogram_conserves_observations(xs in sample(), bins in 1usize..20) {
-        let mut h = Histogram::new(Binning::Linear { lo: -1e6, hi: 1e6, bins });
-        for &x in &xs {
-            h.push(x);
-        }
-        prop_assert_eq!(h.total(), xs.len() as u64);
     }
 
     #[test]

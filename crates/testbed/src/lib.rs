@@ -68,4 +68,4 @@ pub use runner::{
     catalog_for, for_each_path, generate, generate_path, load_or_generate_sharded, run_trace,
     run_trace_pooled, set_generation_workers, trace_seed,
 };
-pub use synth::{class_specs, synth_catalog, synth_catalog_with_mix, ClassMix, ClassSpec};
+pub use synth::{class_counts, class_specs, synth_catalog, ClassSpec};

@@ -3,8 +3,9 @@
 //! The paper's conclusions rest on 35 hand-picked RON paths (§4.1). To
 //! ask whether FB-vs-HB predictability is a property of *path classes*
 //! rather than of those particular paths, [`synth_catalog`] samples an
-//! arbitrarily large catalog — a pure function of `(seed, size, class
-//! mix)` — across five classes (DESIGN.md §15):
+//! arbitrarily large catalog — a pure function of `(seed, size)`, at a
+//! fixed class mix ([`class_counts`]) — across five classes (DESIGN.md
+//! §15):
 //!
 //! * **`dsl`** — sub-2 Mbps DSL bottlenecks, calibrated to the
 //!   [`crate::path::catalog_2004`] DSL block.
@@ -152,75 +153,40 @@ pub fn class_specs() -> &'static [ClassSpec; 5] {
     &SPECS
 }
 
-/// Fraction of the catalog drawn from each class. Fractions are
-/// normalized by their sum, so any positive weights work.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClassMix {
-    /// DSL-bottleneck share.
-    pub dsl: f64,
-    /// ≥ 10 Mbps US-path share.
-    pub us: f64,
-    /// Transatlantic share.
-    pub transatlantic: f64,
-    /// Cellular-like share.
-    pub cellular: f64,
-    /// Lossy-wireless share.
-    pub wireless: f64,
-}
+/// Fraction of the catalog drawn from each class, in [`class_specs`]
+/// order (dsl/us/eu-us/cell/wless): the 2004 composition (dsl/us/eu-us)
+/// extended with the two regimes the paper never measured.
+const CLASS_SHARES: [f64; 5] = [0.15, 0.35, 0.15, 0.20, 0.15];
 
-impl Default for ClassMix {
-    /// The `synth*` preset mix: the 2004 composition (dsl/us/eu-us)
-    /// extended with the two regimes the paper never measured.
-    fn default() -> Self {
-        ClassMix {
-            dsl: 0.15,
-            us: 0.35,
-            transatlantic: 0.15,
-            cellular: 0.20,
-            wireless: 0.15,
-        }
+/// Apportions `n` paths across the five classes (in [`class_specs`]
+/// order, at 15/35/15/20/15 %) by largest remainder: totals always sum
+/// to `n`, ties break toward earlier classes, and every class rounds
+/// from its exact quota, never truncates to zero wholesale.
+pub fn class_counts(n: usize) -> [usize; 5] {
+    // Normalize by the shares' sum, which is 1 only up to rounding: the
+    // quotas must stay bit-identical for a seed's cached synth shards to
+    // keep their paths in the same classes.
+    let total: f64 = CLASS_SHARES.iter().sum();
+    let exact: Vec<f64> = CLASS_SHARES.iter().map(|s| s / total * n as f64).collect();
+    let mut counts = [0usize; 5];
+    let mut assigned = 0usize;
+    for (count, quota) in counts.iter_mut().zip(&exact) {
+        *count = quota.floor() as usize;
+        assigned += *count;
     }
-}
-
-impl ClassMix {
-    /// Apportions `n` paths across the five classes by largest
-    /// remainder: totals always sum to `n`, ties break toward earlier
-    /// classes, and every positive-share class rounds from its exact
-    /// quota, never truncates to zero wholesale.
-    pub fn counts(&self, n: usize) -> [usize; 5] {
-        let shares = [
-            self.dsl,
-            self.us,
-            self.transatlantic,
-            self.cellular,
-            self.wireless,
-        ];
-        let total: f64 = shares.iter().sum();
-        assert!(
-            total > 0.0 && shares.iter().all(|s| *s >= 0.0),
-            "class mix needs non-negative shares with a positive sum"
-        );
-        let exact: Vec<f64> = shares.iter().map(|s| s / total * n as f64).collect();
-        let mut counts = [0usize; 5];
-        let mut assigned = 0usize;
-        for (count, quota) in counts.iter_mut().zip(&exact) {
-            *count = quota.floor() as usize;
-            assigned += *count;
-        }
-        // Largest fractional remainder first; class order breaks ties
-        // deterministically.
-        let mut order: Vec<usize> = (0..counts.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (ra, rb) = (exact[a] - exact[a].floor(), exact[b] - exact[b].floor());
-            rb.partial_cmp(&ra)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        for k in 0..n.saturating_sub(assigned) {
-            counts[order[k % counts.len()]] += 1;
-        }
-        counts
+    // Largest fractional remainder first; class order breaks ties
+    // deterministically.
+    let mut order: Vec<usize> = (0..counts.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (ra, rb) = (exact[a] - exact[a].floor(), exact[b] - exact[b].floor());
+        rb.partial_cmp(&ra)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    for k in 0..n.saturating_sub(assigned) {
+        counts[order[k % counts.len()]] += 1;
     }
+    counts
 }
 
 /// Draws one path of `spec`'s class. `idx_in_class` numbers the path
@@ -258,22 +224,16 @@ fn synth_path(rng: &mut StdRng, id: usize, idx_in_class: usize, spec: &ClassSpec
     }
 }
 
-/// A procedural catalog of `n` paths at the [`ClassMix::default`] mix —
-/// a pure function of `(n, seed)`; same inputs, bitwise-identical
-/// catalog.
+/// A procedural catalog of `n` paths — a pure function of `(n, seed)`;
+/// same inputs, bitwise-identical catalog. Paths are laid out in class
+/// blocks (`dsl`, `us`, `eu-us`, `cell`, `wless`) sized by
+/// [`class_counts`], with catalog ids `0..n`; one RNG stream draws the
+/// whole catalog, so a path's parameters depend on its position, never
+/// on wall clock or host.
 pub fn synth_catalog(n: usize, seed: u64) -> Vec<PathConfig> {
-    synth_catalog_with_mix(n, seed, ClassMix::default())
-}
-
-/// [`synth_catalog`] with an explicit class mix. Paths are laid out in
-/// class blocks (`dsl`, `us`, `eu-us`, `cell`, `wless`) with catalog
-/// ids `0..n`; one RNG stream draws the whole catalog, so a path's
-/// parameters depend on the mix and its position, never on wall clock
-/// or host.
-pub fn synth_catalog_with_mix(n: usize, seed: u64, mix: ClassMix) -> Vec<PathConfig> {
     assert!(n >= 1, "catalog needs at least one path");
     let mut rng = StdRng::seed_from_u64(seed ^ SYNTH_SALT);
-    let counts = mix.counts(n);
+    let counts = class_counts(n);
     let mut paths = Vec::with_capacity(n);
     for (spec, &count) in class_specs().iter().zip(&counts) {
         for idx_in_class in 0..count {
@@ -291,26 +251,14 @@ mod tests {
 
     #[test]
     fn default_mix_counts_sum_and_follow_the_shares() {
-        let counts = ClassMix::default().counts(1000);
+        let counts = class_counts(1000);
         assert_eq!(counts.iter().sum::<usize>(), 1000);
         assert_eq!(counts, [150, 350, 150, 200, 150]);
         // Small n still sums exactly and favors the big classes.
         for n in 1..40 {
-            let c = ClassMix::default().counts(n);
+            let c = class_counts(n);
             assert_eq!(c.iter().sum::<usize>(), n, "n={n}");
         }
-    }
-
-    #[test]
-    fn lopsided_mix_is_normalized() {
-        let mix = ClassMix {
-            dsl: 3.0,
-            us: 0.0,
-            transatlantic: 0.0,
-            cellular: 1.0,
-            wireless: 0.0,
-        };
-        assert_eq!(mix.counts(8), [6, 0, 0, 2, 0]);
     }
 
     #[test]
@@ -320,7 +268,7 @@ mod tests {
         for (i, p) in cat.iter().enumerate() {
             assert_eq!(p.id, i);
         }
-        let counts = ClassMix::default().counts(100);
+        let counts = class_counts(100);
         let mut at = 0usize;
         for (spec, &count) in class_specs().iter().zip(&counts) {
             for k in 0..count {

@@ -8,11 +8,11 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tputpred_testbed::data::shard_fingerprint;
-use tputpred_testbed::{class_specs, synth_catalog, ClassMix, PathConfig, Preset};
+use tputpred_testbed::{class_counts, class_specs, synth_catalog, PathConfig, Preset};
 
 /// Walks the class-block layout, yielding each path with its spec.
 fn with_specs(catalog: &[PathConfig]) -> Vec<(&PathConfig, usize)> {
-    let counts = ClassMix::default().counts(catalog.len());
+    let counts = class_counts(catalog.len());
     let mut out = Vec::with_capacity(catalog.len());
     let mut at = 0usize;
     for (class, &count) in counts.iter().enumerate() {
