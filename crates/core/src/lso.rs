@@ -55,10 +55,22 @@
 //! the symmetric min-denominator form `|m₁ − m₂| / min(m₁, m₂)` — the same
 //! convention as the paper's error metric `E` (Eq. 4), and the natural
 //! reading of "lower … by more than a relative difference γ".
+//!
+//! # Cost
+//!
+//! A push costs time linear in the window and sorts nothing. The
+//! detector keeps the window's values in ascending order beside the
+//! window itself: every median is read off them, and condition 1 makes
+//! the lower segment of a candidate split exactly the smallest samples,
+//! so both segment medians are slices of the same order. [`Lso`] feeds
+//! its inner predictor only the samples a push appended to its feedable
+//! history, and rebuilds it from the window only when a detection or a
+//! quarantine changed that history otherwise.
 
 use crate::error::PredictError;
 use crate::predictor::{typed_forecast, EpochFeatures, EpochObservation, Predictor, Update};
 use serde::{Deserialize, Serialize};
+use tputpred_stats::quantile::quantile_sorted;
 
 /// Parameters of the LSO heuristics.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -110,9 +122,38 @@ fn rel_diff(a: f64, b: f64) -> f64 {
     (a - b).abs() / f64::max(lo, f64::EPSILON)
 }
 
-fn median_of(values: &[f64]) -> f64 {
-    // lint:allow(no-unwrap): every caller passes the detector window, which holds >= 1 sample by construction
-    tputpred_stats::median(values).expect("median of non-empty window")
+/// The outlier rule's test of one value against the window median:
+/// `|v − median| / median > ψ`. `Some(true)` for a high deviant,
+/// `Some(false)` for a low one, `None` for an inlier. (The shift rule
+/// compares two *medians* and uses the symmetric min-denominator form
+/// instead.)
+fn deviation(v: f64, med: f64, psi: f64) -> Option<bool> {
+    let dev = (v - med).abs() / f64::max(med.abs(), f64::EPSILON);
+    (dev > psi).then_some(v > med)
+}
+
+/// Median of an ascending, non-empty slice: bit for bit what
+/// `tputpred_stats::median` returns for any ordering of it.
+fn median_sorted(sorted: &[f64]) -> f64 {
+    quantile_sorted(sorted, 0.5)
+}
+
+/// Inserts `x` into the ascending `sorted` after every entry equal to
+/// it, so equal values keep arrival order — exactly where a stable sort
+/// of the window would put it.
+fn insert_sorted(sorted: &mut Vec<f64>, x: f64) {
+    let at = sorted.partition_point(|&y| y <= x);
+    sorted.insert(at, x);
+}
+
+/// Removes one entry with `v`'s exact bits from the ascending `sorted`.
+fn remove_sorted(sorted: &mut Vec<f64>, v: f64) {
+    let lo = sorted.partition_point(|&y| y < v);
+    // Entries equal to `v` start at `lo`; match bits, since ±0 compare
+    // equal.
+    if let Some(k) = sorted[lo..].iter().position(|y| y.to_bits() == v.to_bits()) {
+        sorted.remove(lo + k);
+    }
 }
 
 /// Online level-shift and outlier detector over a positive-valued series.
@@ -126,6 +167,11 @@ pub struct Detector {
     /// `(absolute_index, value)` since the last level shift, outliers
     /// removed.
     window: Vec<(usize, f64)>,
+    /// The values of `window`, ascending; equal values in arrival order.
+    sorted: Vec<f64>,
+    /// Scratch for the shift scan: `(max, min)` of `window[..s]` at
+    /// index `s − 1`.
+    prefix: Vec<(f64, f64)>,
     next_index: usize,
 }
 
@@ -147,6 +193,8 @@ impl Detector {
         Detector {
             cfg,
             window: Vec::new(),
+            sorted: Vec::new(),
+            prefix: Vec::new(),
             next_index: 0,
         }
     }
@@ -167,20 +215,33 @@ impl Detector {
         self.next_index
     }
 
+    /// Median of the retained window, `None` while it is empty.
+    fn median(&self) -> Option<f64> {
+        (!self.sorted.is_empty()).then(|| median_sorted(&self.sorted))
+    }
+
     /// Drops all state (history and index counter).
     pub fn reset(&mut self) {
         self.window.clear();
+        self.sorted.clear();
         self.next_index = 0;
     }
 
     /// Ingests the next sample and reports any detections.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is NaN: a NaN has no place in the sorted window, and
+    /// admitting one would silently corrupt every later median.
     pub fn push(&mut self, x: f64) -> DetectorEvent {
-        debug_assert!(!x.is_nan(), "NaN sample");
+        assert!(!x.is_nan(), "NaN sample");
         let idx = self.next_index;
         self.next_index += 1;
         self.window.push((idx, x));
+        insert_sorted(&mut self.sorted, x);
         if self.window.len() > self.cfg.max_window {
-            self.window.remove(0);
+            let (_, oldest) = self.window.remove(0);
+            remove_sorted(&mut self.sorted, oldest);
         }
 
         let outliers = self.confirm_outliers();
@@ -200,34 +261,29 @@ impl Detector {
         if n < 4 {
             return Vec::new();
         }
-        let values: Vec<f64> = self.window.iter().map(|&(_, v)| v).collect();
-        let med = median_of(&values);
-        let deviates = |v: f64| -> Option<f64> {
-            // The paper's outlier rule: |v − median| / median > ψ. (The
-            // shift rule below compares two *medians* and uses the
-            // symmetric min-denominator form instead.)
-            let dev = (v - med).abs() / f64::max(med.abs(), f64::EPSILON);
-            (dev > self.cfg.psi).then(|| (v - med).signum())
-        };
-        let dirs: Vec<Option<f64>> = values.iter().map(|&v| deviates(v)).collect();
-        // A run is trailing when it reaches the newest sample.
-        let run_is_trailing = |j: usize| -> bool {
-            let d = dirs[j];
-            let mut e = j;
-            while e + 1 < n && dirs[e + 1] == d {
-                e += 1;
-            }
-            e == n - 1
-        };
-        let mut removed = Vec::new();
-        // Scan only positions with ≥ 2 successors (j ≤ n−3, 0-indexed).
-        for j in (0..=n.saturating_sub(3)).rev() {
-            if dirs[j].is_some() && !run_is_trailing(j) {
-                removed.push(self.window[j].0);
-                self.window.remove(j);
-            }
+        let med = median_sorted(&self.sorted);
+        let psi = self.cfg.psi;
+        // The run of equal deviation reaching the newest sample starts at
+        // `trailing`; a deviant run there may be a shift in progress.
+        let last = deviation(self.window[n - 1].1, med, psi);
+        let mut trailing = n - 1;
+        while trailing > 0 && deviation(self.window[trailing - 1].1, med, psi) == last {
+            trailing -= 1;
         }
-        removed.reverse();
+        // Only positions with ≥ 2 successors (j ≤ n−3) are confirmable.
+        let confirmable = trailing.min(n - 2);
+        let mut removed = Vec::new();
+        let mut j = 0;
+        let sorted = &mut self.sorted;
+        self.window.retain(|&(idx, v)| {
+            let outlier = j < confirmable && deviation(v, med, psi).is_some();
+            j += 1;
+            if outlier {
+                removed.push(idx);
+                remove_sorted(sorted, v);
+            }
+            !outlier
+        });
         removed
     }
 
@@ -239,25 +295,41 @@ impl Detector {
         if n < 4 {
             return None;
         }
-        let values: Vec<f64> = self.window.iter().map(|&(_, v)| v).collect();
+        self.prefix.clear();
+        let (mut pre_max, mut pre_min) = (f64::NEG_INFINITY, f64::INFINITY);
+        for &(_, v) in &self.window[..n - 3] {
+            pre_max = f64::max(pre_max, v);
+            pre_min = f64::min(pre_min, v);
+            self.prefix.push((pre_max, pre_min));
+        }
+        let (mut suf_max, mut suf_min) = (f64::NEG_INFINITY, f64::INFINITY);
+        for &(_, v) in &self.window[n - 2..] {
+            suf_max = f64::max(suf_max, v);
+            suf_min = f64::min(suf_min, v);
+        }
         // Paper indices: k ∈ [2, n−2] (1-based) ⇒ s ∈ [1, n−3] (0-based).
         // Most recent shift first.
         for s in (1..=n - 3).rev() {
-            let (prefix, suffix) = values.split_at(s);
-            let pre_max = prefix.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let pre_min = prefix.iter().cloned().fold(f64::INFINITY, f64::min);
-            let suf_max = suffix.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let suf_min = suffix.iter().cloned().fold(f64::INFINITY, f64::min);
+            let v = self.window[s].1;
+            suf_max = f64::max(suf_max, v);
+            suf_min = f64::min(suf_min, v);
+            let (pre_max, pre_min) = self.prefix[s - 1];
             let increasing = pre_max < suf_min;
-            let decreasing = pre_min > suf_max;
-            if !increasing && !decreasing {
+            if !increasing && pre_min <= suf_max {
                 continue;
             }
-            let m1 = median_of(prefix);
-            let m2 = median_of(suffix);
-            if rel_diff(m1, m2) > self.cfg.gamma {
+            // The split separates the segments, so the lower one holds
+            // exactly the smallest samples: the bottom of `sorted`.
+            let lower_len = if increasing { s } else { n - s };
+            let (lower, upper) = self.sorted.split_at(lower_len);
+            if rel_diff(median_sorted(lower), median_sorted(upper)) > self.cfg.gamma {
                 let start = self.window[s].0;
                 self.window.drain(..s);
+                if increasing {
+                    self.sorted.drain(..lower_len);
+                } else {
+                    self.sorted.truncate(lower_len);
+                }
                 return Some(start);
             }
         }
@@ -286,11 +358,12 @@ pub fn scan_series(series: &[f64], cfg: LsoConfig) -> (Vec<usize>, Vec<usize>) {
 /// Wraps any [`Predictor`] with the LSO heuristics: the paper's
 /// `MA-LSO`, `HW-LSO`, etc.
 ///
-/// On a detected level shift the inner predictor is restarted and re-fed
-/// the post-shift window; on outlier confirmation the inner predictor is
-/// rebuilt from the cleaned window. Confirmed-outlier positions accumulate
-/// in [`Lso::outlier_indices`] so evaluation can exclude them from RMSRE
-/// (§6.1.3).
+/// After every push the inner predictor stands exactly where it would
+/// after a reset and a replay of the cleaned window's feedable samples
+/// (below): a detected level shift restarts it on the post-shift window,
+/// a confirmed outlier rebuilds it without the outlier. Confirmed-outlier
+/// positions accumulate in [`Lso::outlier_indices`] so evaluation can
+/// exclude them from RMSRE (§6.1.3).
 ///
 /// Two guards keep "outliers are discarded from the history" true *at
 /// every instant*, not just in retrospect:
@@ -326,6 +399,14 @@ pub struct Lso<P> {
     inner: P,
     all_outliers: Vec<usize>,
     name: String,
+    /// The `(absolute_index, value)` samples `inner` was fed since its
+    /// last reset, in order; meaningless until `synced`.
+    fed: Vec<(usize, f64)>,
+    /// Scratch: the feedable samples after the current push.
+    feed: Vec<(usize, f64)>,
+    /// False until `inner` was first reset (a wrapped predictor may come
+    /// with history of its own).
+    synced: bool,
 }
 
 impl<P: Predictor> Lso<P> {
@@ -342,6 +423,9 @@ impl<P: Predictor> Lso<P> {
             inner,
             all_outliers: Vec::new(),
             name,
+            fed: Vec::new(),
+            feed: Vec::new(),
+            synced: false,
         }
     }
 
@@ -360,54 +444,56 @@ impl<P: Predictor> Lso<P> {
         &self.detector
     }
 
-    /// The window values the inner predictor is allowed to see: the
-    /// current *inliers* — everything within ψ of the window median.
-    /// Deviant samples are either shifts in progress (the restart will
-    /// re-feed them) or outliers awaiting confirmation (they will be
-    /// removed); neither belongs in a forecast yet.
-    fn feed_values(&self) -> Vec<f64> {
-        let values: Vec<f64> = self.detector.window().iter().map(|&(_, v)| v).collect();
-        if values.len() < 4 {
-            return values;
+    /// Brings the inner predictor in line with the feedable history: the
+    /// current *inliers* of the window — everything within ψ of the
+    /// window median. Deviant samples are either shifts in progress (the
+    /// restart will re-feed them) or outliers awaiting confirmation (they
+    /// will be removed); neither belongs in a forecast yet.
+    ///
+    /// An inner predictor's state depends only on the samples it was fed
+    /// since its reset, so when the feedable samples extend the ones fed
+    /// so far (the common case: a plain push of an inlier), feeding the
+    /// new tail is exactly a reset and a full replay.
+    fn sync_inner(&mut self) {
+        let window = self.detector.window();
+        self.feed.clear();
+        match self.detector.median() {
+            Some(med) if window.len() >= 4 => {
+                let psi = self.detector.cfg.psi;
+                self.feed.extend(
+                    window
+                        .iter()
+                        .filter(|&&(_, v)| deviation(v, med, psi).is_none()),
+                );
+            }
+            _ => self.feed.extend_from_slice(window),
         }
-        let med = median_of(&values);
-        let psi = self.detector.cfg.psi;
-        values
-            .into_iter()
-            .filter(|v| (v - med).abs() / f64::max(med.abs(), f64::EPSILON) <= psi)
-            .collect()
-    }
-
-    /// Re-derives the inner predictor from the feedable history.
-    fn rebuild_inner(&mut self) {
-        self.inner.reset();
-        for v in self.feed_values() {
+        let replay_from = if self.synced && self.feed.starts_with(&self.fed) {
+            self.fed.len()
+        } else {
+            self.inner.reset();
+            self.synced = true;
+            0
+        };
+        for &(_, v) in &self.feed[replay_from..] {
             self.inner.update(v);
         }
+        std::mem::swap(&mut self.fed, &mut self.feed);
     }
 }
 
 impl<P: Predictor> Predictor for Lso<P> {
     fn try_predict(&self, features: &EpochFeatures) -> Result<f64, PredictError> {
-        let window_fallback = || {
-            let w = self.detector.window();
-            if w.is_empty() {
-                None
-            } else {
-                let values: Vec<f64> = w.iter().map(|&(_, v)| v).collect();
-                Some(median_of(&values))
-            }
-        };
         let forecast = match self.inner.try_predict(features) {
             // A trend extrapolated below zero is not a throughput;
             // substitute the robust window location.
-            Ok(f) if f <= 0.0 => window_fallback(),
+            Ok(f) if f <= 0.0 => self.detector.median(),
             Ok(f) => Some(f),
             // Immediately after a restart some predictors (Holt-Winters)
             // need two samples; bridge the gap so a forecast is always
             // available once any history exists, as the paper's
             // evaluation assumes.
-            Err(_) => window_fallback(),
+            Err(_) => self.detector.median(),
         };
         typed_forecast(forecast)
     }
@@ -420,9 +506,8 @@ impl<P: Predictor> Predictor for Lso<P> {
         self.all_outliers.extend_from_slice(&ev.outliers);
         // The feedable set can change shape on any push (a suspect
         // appears, clears, or pairs up), so the inner predictor is
-        // re-derived each time. Windows are small (≤ max_window) and the
-        // predictors are O(1) per sample, so this stays cheap.
-        self.rebuild_inner();
+        // re-synced each time.
+        self.sync_inner();
         let retained = self.detector.window().len();
         match ev.level_shift {
             Some(start) => Update::LevelShift { start, retained },
@@ -438,6 +523,8 @@ impl<P: Predictor> Predictor for Lso<P> {
         self.detector.reset();
         self.inner.reset();
         self.all_outliers.clear();
+        self.fed.clear();
+        self.synced = true;
     }
 
     // lint:hot-path
@@ -554,6 +641,14 @@ mod tests {
         // The 30 spike is removed as an outlier either before or after the
         // shift is declared.
         assert!(outliers.contains(&6), "the spike is cleaned: {outliers:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN sample")]
+    fn nan_sample_panics_in_every_build() {
+        let mut det = Detector::new(cfg());
+        det.push(10.0);
+        det.push(f64::NAN);
     }
 
     #[test]
