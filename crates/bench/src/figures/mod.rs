@@ -54,9 +54,9 @@ pub(crate) fn add_cross_traffic(
     };
     let id = match pareto {
         Some((duty, alpha, on)) => {
-            sim.add_endpoint(Box::new(ParetoOnOffSource::new(cfg, duty, alpha, on).0))
+            sim.add_endpoint(Box::new(ParetoOnOffSource::new(cfg, duty, alpha, on)))
         }
-        None => sim.add_endpoint(Box::new(PoissonSource::new(cfg).0)),
+        None => sim.add_endpoint(Box::new(PoissonSource::new(cfg))),
     };
     sim.schedule_timer(id, 0, Time::ZERO);
 }

@@ -309,66 +309,6 @@ pub struct EngineCounters {
     pub overflow_migrated: u64,
 }
 
-/// Recyclable engine allocations: the timer wheel's slot buckets and
-/// per-link event state. Capacity-only —
-/// a pool never carries events, endpoints, RNG state, or any other
-/// behavior between simulations, so pooled and fresh runs are
-/// bit-identical (asserted by `pooled_simulators_replay_identically`).
-///
-/// A generation run builds 2800+ simulators; without pooling each one
-/// re-grows the same buffers from zero. [`Simulator::with_pool`] seeds a
-/// new simulator from a pool and [`Simulator::into_pool`] returns the
-/// (cleared) buffers when the run is done.
-#[derive(Debug, Default)]
-pub struct EnginePool {
-    wheel: TimerWheel,
-    link_events: Vec<LinkEvents>,
-}
-
-impl EnginePool {
-    /// An empty pool (first use allocates; later round-trips reuse).
-    pub fn new() -> Self {
-        EnginePool::default()
-    }
-
-    /// Retained capacities, for steady-state assertions: after a couple
-    /// of pool round-trips through identical workloads, this profile
-    /// must stop growing.
-    pub fn capacity(&self) -> PoolCapacity {
-        let (wheel_slot_entries, wheel_batch_entries, overflow_entries) =
-            self.wheel.capacity_profile();
-        PoolCapacity {
-            wheel_slot_entries,
-            wheel_batch_entries,
-            overflow_entries,
-            link_states: self.link_events.len(),
-            arrival_entries: self
-                .link_events
-                .iter()
-                .map(|le| le.arrivals.capacity())
-                .sum(),
-            elided_entries: self.link_events.iter().map(|le| le.elided.capacity()).sum(),
-        }
-    }
-}
-
-/// Snapshot of an [`EnginePool`]'s retained buffer capacities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolCapacity {
-    /// Summed capacity of the wheel's slot buckets.
-    pub wheel_slot_entries: usize,
-    /// Capacity of the wheel's extracted-batch buffer.
-    pub wheel_batch_entries: usize,
-    /// Capacity of the wheel's overflow heap.
-    pub overflow_entries: usize,
-    /// Pooled per-link event states.
-    pub link_states: usize,
-    /// Summed capacity of the per-link arrival FIFOs.
-    pub arrival_entries: usize,
-    /// Summed capacity of the per-link FIFOs of elided arrivals.
-    pub elided_entries: usize,
-}
-
 /// The discrete-event simulator.
 ///
 /// # Examples
@@ -411,9 +351,6 @@ pub struct Simulator {
     links: Vec<Link>,
     /// Parallel to `links`.
     link_events: Vec<LinkEvents>,
-    /// Cleared [`LinkEvents`] recycled from a pool, handed out by
-    /// [`Simulator::add_link`].
-    spare_link_events: Vec<LinkEvents>,
     endpoints: Vec<Option<Box<dyn Endpoint>>>,
     /// Parallel to `endpoints`: each one's [`Endpoint::discards`],
     /// asked once when it was added.
@@ -425,20 +362,13 @@ pub struct Simulator {
 impl Simulator {
     /// Creates an empty simulation with a deterministic RNG seed.
     pub fn new(seed: u64) -> Self {
-        Simulator::with_pool(seed, EnginePool::new())
-    }
-
-    /// Like [`Simulator::new`], but reusing the buffers of `pool`
-    /// (capacity-only: behavior is identical to a fresh simulator).
-    pub fn with_pool(seed: u64, pool: EnginePool) -> Self {
         Simulator {
             now: Time::ZERO,
             seq: 0,
-            wheel: pool.wheel,
+            wheel: TimerWheel::new(),
             wheel_head: KEY_NONE,
             links: Vec::new(),
             link_events: Vec::new(),
-            spare_link_events: pool.link_events,
             endpoints: Vec::new(),
             discards: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
@@ -446,36 +376,11 @@ impl Simulator {
         }
     }
 
-    /// Tears the simulator down into a reusable [`EnginePool`]. All
-    /// pending events are discarded; only buffer capacity survives.
-    pub fn into_pool(self) -> EnginePool {
-        let Simulator {
-            mut wheel,
-            link_events,
-            mut spare_link_events,
-            ..
-        } = self;
-        wheel.clear();
-        for mut le in link_events {
-            le.tx_key = KEY_NONE;
-            le.arr_key = KEY_NONE;
-            le.tx_pkt = None;
-            le.arrivals.clear();
-            le.elided.clear();
-            spare_link_events.push(le);
-        }
-        EnginePool {
-            wheel,
-            link_events: spare_link_events,
-        }
-    }
-
     /// Adds a link; returns its id.
     pub fn add_link(&mut self, config: LinkConfig) -> LinkId {
         let id = LinkId(self.links.len() as u32);
         self.links.push(Link::new(config));
-        self.link_events
-            .push(self.spare_link_events.pop().unwrap_or_default());
+        self.link_events.push(LinkEvents::default());
         id
     }
 
@@ -514,11 +419,6 @@ impl Simulator {
         c.overflow_scheduled = w.overflow_scheduled;
         c.overflow_migrated = w.overflow_migrated;
         c
-    }
-
-    /// All links, in id order (telemetry aggregates per-link stats).
-    pub fn links(&self) -> &[Link] {
-        &self.links
     }
 
     /// Arms a timer on `endpoint` from outside the simulation (drivers use
@@ -678,7 +578,7 @@ impl Simulator {
                             le.elided.back() < Some(&key(arrive, seq)),
                             "elided FIFO out of order"
                         );
-                        // lint:allow(hot-path-alloc): per-link elided-arrival FIFO retains capacity (pooled across traces) and is drained to the packets in propagation on every push
+                        // lint:allow(hot-path-alloc): per-link elided-arrival FIFO keeps its capacity for the whole run and is drained to the packets in propagation on every push
                         le.elided.push_back(key(arrive, seq));
                         self.count_elided(due);
                     } else {
@@ -687,7 +587,7 @@ impl Simulator {
                         } else {
                             le.arr_key = key(arrive, seq);
                         }
-                        // lint:allow(hot-path-alloc): per-link arrival FIFO retains capacity (pooled across traces)
+                        // lint:allow(hot-path-alloc): per-link arrival FIFO keeps its capacity for the whole run and holds only the packets in propagation
                         le.arrivals.push_back((arrive, seq, sent));
                     }
                 }
@@ -812,6 +712,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sources::Sink;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -850,20 +751,7 @@ mod tests {
         burst: u32,
         size: u32,
     ) -> (Simulator, LinkId, Rc<RefCell<Vec<Time>>>) {
-        // lint:allow(units): forwards the whole-ms test grid unchanged
-        world_with_pool(EnginePool::new(), rate, delay_ms, buffer, burst, size)
-    }
-
-    fn world_with_pool(
-        pool: EnginePool,
-        rate: f64,
-        // lint:allow(units): whole-ms test grid; converted via Time::from_millis below
-        delay_ms: u64,
-        buffer: u32,
-        burst: u32,
-        size: u32,
-    ) -> (Simulator, LinkId, Rc<RefCell<Vec<Time>>>) {
-        let mut sim = Simulator::with_pool(7, pool);
+        let mut sim = Simulator::new(7);
         // lint:allow(units): conversion is explicit at the use site
         let link = sim.add_link(LinkConfig::new(rate, Time::from_millis(delay_ms), buffer));
         let arrivals = Rc::new(RefCell::new(Vec::new()));
@@ -1100,29 +988,33 @@ mod tests {
     }
 
     #[test]
-    fn pooled_simulators_replay_identically_with_stable_capacity() {
-        // Pooling is capacity-only: a pooled run must be bit-identical
-        // to a fresh one, and after a warm-up round-trip the pool's
-        // capacity profile must stop growing (the satellite-3 leak:
-        // buffers used to re-grow from zero in every trace).
-        let run = |pool: EnginePool| -> (Vec<Time>, EngineCounters, EnginePool) {
-            let (mut sim, _, arrivals) = world_with_pool(pool, 12e6, 5, 2, 5, 1500);
-            sim.run_to_quiescence();
-            let a = arrivals.borrow().clone();
-            let c = sim.counters();
-            (a, c, sim.into_pool())
-        };
-        let (fresh, fresh_counters, pool) = run(EnginePool::new());
-        let warm_capacity = pool.capacity();
-        assert!(warm_capacity.link_states > 0);
-        assert!(warm_capacity.arrival_entries > 0);
-        let (second, second_counters, pool) = run(pool);
-        assert_eq!(second, fresh);
-        assert_eq!(second_counters, fresh_counters);
-        let (third, _, pool) = run(pool);
-        assert_eq!(third, fresh);
-        // Steady state: identical workloads stop growing the pool.
-        assert_eq!(pool.capacity(), warm_capacity);
+    fn elided_fifo_holds_only_packets_in_propagation() {
+        // 4000 packets of 1.2 ms each (1500 B at 10 Mbps) serialize back
+        // to back for 4.8 s with no timer in between, inside one
+        // `run_until`: only the per-push settling can keep the FIFO short.
+        let (rate_bps, delay, count) = (10e6, Time::from_millis(20), 4000);
+        let mut sim = Simulator::new(3);
+        let link = sim.add_link(LinkConfig::new(rate_bps, delay, count));
+        let (sink, _) = Sink::new();
+        let sink = sim.add_endpoint(Box::new(sink));
+        let burst = sim.add_endpoint(Box::new(Burst {
+            route: Route::direct(link),
+            dst: sink,
+            count,
+            size: 1500,
+        }));
+        sim.schedule_timer(burst, 0, Time::ZERO);
+        sim.run_until(Time::from_secs(10));
+        let c = sim.counters();
+        assert_eq!(c.elided_arrivals, u64::from(count), "{c:?}");
+        assert_eq!(c.packets_delivered, u64::from(count));
+        let tx = Time::tx_time(1500, rate_bps);
+        let in_propagation = (delay.as_nanos() / tx.as_nanos() + 1) as usize;
+        let capacity = sim.link_events[link.0 as usize].elided.capacity();
+        assert!(
+            capacity <= (2 * in_propagation).max(4),
+            "elided FIFO grew to {capacity} entries; at most {in_propagation} are ever in propagation"
+        );
     }
 
     #[test]

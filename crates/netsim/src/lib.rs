@@ -42,7 +42,7 @@ pub mod sources;
 pub mod time;
 pub mod wheel;
 
-pub use engine::{Ctx, Endpoint, EndpointId, EngineCounters, EnginePool, PoolCapacity, Simulator};
+pub use engine::{Ctx, Endpoint, EndpointId, EngineCounters, Simulator};
 pub use link::{Link, LinkConfig, LinkId, LinkStats};
 pub use packet::{Packet, Payload, ProbeMeta, Route, TcpMeta, MAX_HOPS};
 pub use schedule::RateSchedule;

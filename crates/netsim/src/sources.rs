@@ -61,19 +61,6 @@ impl SourceConfig {
     }
 }
 
-/// Shared counters for sent traffic, readable by the driving test or
-/// experiment after the run.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TxCount {
-    /// Packets emitted.
-    pub packets: u64,
-    /// Bytes emitted.
-    pub bytes: u64,
-}
-
-/// Handle to a generator's counters.
-pub type TxHandle = Rc<RefCell<TxCount>>;
-
 /// Single-entry memo of [`Time::tx_time`] keyed on the exact
 /// `(rate bits, size)` pair. Sources emit long runs of identically
 /// sized packets at a schedule-piecewise-constant rate, so the key
@@ -113,34 +100,25 @@ impl GapMemo {
     }
 }
 
-fn emit(ctx: &mut Ctx<'_>, cfg: &SourceConfig, counter: &TxHandle) {
+fn emit(ctx: &mut Ctx<'_>, cfg: &SourceConfig) {
     ctx.send(cfg.route, cfg.dst, cfg.packet_size, Payload::Raw);
-    let mut c = counter.borrow_mut();
-    c.packets += 1;
-    c.bytes += cfg.packet_size as u64;
 }
 
 /// Constant-bit-rate source: one packet every `size·8/rate` seconds.
 pub struct CbrSource {
     cfg: SourceConfig,
-    counter: TxHandle,
     memo: GapMemo,
     cursor: ScheduleCursor,
 }
 
 impl CbrSource {
-    /// Creates the source and a handle to its counters.
-    pub fn new(cfg: SourceConfig) -> (Self, TxHandle) {
-        let counter = TxHandle::default();
-        (
-            CbrSource {
-                cfg,
-                counter: Rc::clone(&counter),
-                memo: GapMemo::EMPTY,
-                cursor: ScheduleCursor::EMPTY,
-            },
-            counter,
-        )
+    /// Creates the source.
+    pub fn new(cfg: SourceConfig) -> Self {
+        CbrSource {
+            cfg,
+            memo: GapMemo::EMPTY,
+            cursor: ScheduleCursor::EMPTY,
+        }
     }
 }
 
@@ -156,7 +134,7 @@ impl Endpoint for CbrSource {
             ctx.set_timer_after(0, IDLE_RECHECK);
             return;
         }
-        emit(ctx, &self.cfg, &self.counter);
+        emit(ctx, &self.cfg);
         let gap = self.memo.tx_time(self.cfg.packet_size, rate);
         ctx.set_timer_after(0, gap);
     }
@@ -166,22 +144,16 @@ impl Endpoint for CbrSource {
 /// rate.
 pub struct PoissonSource {
     cfg: SourceConfig,
-    counter: TxHandle,
     cursor: ScheduleCursor,
 }
 
 impl PoissonSource {
-    /// Creates the source and a handle to its counters.
-    pub fn new(cfg: SourceConfig) -> (Self, TxHandle) {
-        let counter = TxHandle::default();
-        (
-            PoissonSource {
-                cfg,
-                counter: Rc::clone(&counter),
-                cursor: ScheduleCursor::EMPTY,
-            },
-            counter,
-        )
+    /// Creates the source.
+    pub fn new(cfg: SourceConfig) -> Self {
+        PoissonSource {
+            cfg,
+            cursor: ScheduleCursor::EMPTY,
+        }
     }
 }
 
@@ -197,7 +169,7 @@ impl Endpoint for PoissonSource {
             ctx.set_timer_after(0, IDLE_RECHECK);
             return;
         }
-        emit(ctx, &self.cfg, &self.counter);
+        emit(ctx, &self.cfg);
         let mean_gap = self.cfg.packet_size as f64 * 8.0 / rate;
         let gap = random::exponential(ctx.rng(), mean_gap);
         ctx.set_timer_after(0, Time::from_secs_f64(gap));
@@ -211,7 +183,6 @@ impl Endpoint for PoissonSource {
 /// `base / duty_cycle`.
 pub struct ParetoOnOffSource {
     cfg: SourceConfig,
-    counter: TxHandle,
     memo: GapMemo,
     cursor: ScheduleCursor,
     /// Long-run fraction of time spent on, in (0, 1).
@@ -231,32 +202,27 @@ enum OnOffState {
 }
 
 impl ParetoOnOffSource {
-    /// Creates the source and a handle to its counters.
+    /// Creates the source.
     ///
     /// # Panics
     ///
     /// Panics unless `0 < duty_cycle < 1`, `alpha > 1`, `mean_on > 0`.
-    pub fn new(cfg: SourceConfig, duty_cycle: f64, alpha: f64, mean_on: f64) -> (Self, TxHandle) {
+    pub fn new(cfg: SourceConfig, duty_cycle: f64, alpha: f64, mean_on: f64) -> Self {
         assert!(
             duty_cycle > 0.0 && duty_cycle < 1.0,
             "duty cycle {duty_cycle} outside (0, 1)"
         );
         assert!(alpha > 1.0, "pareto shape must exceed 1 for a finite mean");
         assert!(mean_on > 0.0, "mean on-period must be positive");
-        let counter = TxHandle::default();
-        (
-            ParetoOnOffSource {
-                cfg,
-                counter: Rc::clone(&counter),
-                memo: GapMemo::EMPTY,
-                cursor: ScheduleCursor::EMPTY,
-                duty_cycle,
-                alpha,
-                mean_on,
-                state: OnOffState::Off,
-            },
-            counter,
-        )
+        ParetoOnOffSource {
+            cfg,
+            memo: GapMemo::EMPTY,
+            cursor: ScheduleCursor::EMPTY,
+            duty_cycle,
+            alpha,
+            mean_on,
+            state: OnOffState::Off,
+        }
     }
 
     fn peak_rate(&mut self, now: Time) -> f64 {
@@ -296,7 +262,7 @@ impl Endpoint for ParetoOnOffSource {
                     ctx.set_timer_after(0, IDLE_RECHECK);
                     return;
                 }
-                emit(ctx, &self.cfg, &self.counter);
+                emit(ctx, &self.cfg);
                 let gap = self.memo.tx_time(self.cfg.packet_size, rate);
                 ctx.set_timer_after(0, gap);
             }
@@ -355,34 +321,21 @@ impl Endpoint for Sink {
 }
 
 /// Echoes probe packets back to their source over a configured reverse
-/// route — the far end of a ping measurement. Non-probe packets are
-/// counted and dropped (it also serves as a sink).
+/// route — the far end of a ping measurement. Non-probe packets and
+/// replies are dropped.
 pub struct Reflector {
     reverse_route: Route,
-    counter: RxHandle,
 }
 
 impl Reflector {
     /// Creates a reflector that replies over `reverse_route`.
-    pub fn new(reverse_route: Route) -> (Self, RxHandle) {
-        let counter = RxHandle::default();
-        (
-            Reflector {
-                reverse_route,
-                counter: Rc::clone(&counter),
-            },
-            counter,
-        )
+    pub fn new(reverse_route: Route) -> Self {
+        Reflector { reverse_route }
     }
 }
 
 impl Endpoint for Reflector {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: Packet) {
-        {
-            let mut c = self.counter.borrow_mut();
-            c.packets += 1;
-            c.bytes += packet.size as u64;
-        }
         if let Payload::Probe(meta) = packet.payload {
             if !meta.is_reply {
                 let reply = Payload::Probe(crate::packet::ProbeMeta {
@@ -408,9 +361,12 @@ mod tests {
         sim.add_link(LinkConfig::new(100e6, Time::from_millis(5), 1000))
     }
 
+    /// Runs the source `make` builds for `secs` over one fat link;
+    /// returns the packets it sent (offered to the link) and the
+    /// packets its sink received.
     fn run_source<F>(make: F, secs: u64) -> (u64, u64)
     where
-        F: FnOnce(SourceConfig) -> (Box<dyn Endpoint>, TxHandle),
+        F: FnOnce(SourceConfig) -> Box<dyn Endpoint>,
     {
         let mut sim = Simulator::new(11);
         let link = fat_link(&mut sim);
@@ -424,11 +380,10 @@ mod tests {
             schedule: RateSchedule::constant(1.0),
             stop: Time::from_secs(secs),
         };
-        let (src, tx) = make(cfg);
-        let src_id = sim.add_endpoint(src);
+        let src_id = sim.add_endpoint(make(cfg));
         sim.schedule_timer(src_id, 0, Time::ZERO);
         sim.run_until(Time::from_secs(secs + 1));
-        let sent = tx.borrow().packets;
+        let sent = sim.link(link).stats().offered;
         let received = rx.borrow().packets;
         (sent, received)
     }
@@ -436,26 +391,14 @@ mod tests {
     #[test]
     fn cbr_emits_at_the_configured_rate() {
         // 1 Mbps of 1000-byte packets for 10 s = 1250 packets.
-        let (sent, received) = run_source(
-            |cfg| {
-                let (s, h) = CbrSource::new(cfg);
-                (Box::new(s), h)
-            },
-            10,
-        );
+        let (sent, received) = run_source(|cfg| Box::new(CbrSource::new(cfg)), 10);
         assert_eq!(sent, 1250);
         assert_eq!(received, sent, "fat link loses nothing");
     }
 
     #[test]
     fn poisson_averages_the_configured_rate() {
-        let (sent, _) = run_source(
-            |cfg| {
-                let (s, h) = PoissonSource::new(cfg);
-                (Box::new(s), h)
-            },
-            100,
-        );
+        let (sent, _) = run_source(|cfg| Box::new(PoissonSource::new(cfg)), 100);
         let expected = 12_500.0;
         let err = (sent as f64 - expected).abs() / expected;
         assert!(err < 0.05, "sent {sent}, expected ≈{expected}");
@@ -464,10 +407,7 @@ mod tests {
     #[test]
     fn pareto_on_off_averages_the_configured_rate() {
         let (sent, _) = run_source(
-            |cfg| {
-                let (s, h) = ParetoOnOffSource::new(cfg, 0.3, 1.9, 0.5);
-                (Box::new(s), h)
-            },
+            |cfg| Box::new(ParetoOnOffSource::new(cfg, 0.3, 1.9, 0.5)),
             1200,
         );
         let expected = 150_000.0;
@@ -490,13 +430,12 @@ mod tests {
             schedule,
             stop: Time::from_secs(20),
         };
-        let (src, tx) = CbrSource::new(cfg);
-        let src_id = sim.add_endpoint(Box::new(src));
+        let src_id = sim.add_endpoint(Box::new(CbrSource::new(cfg)));
         sim.schedule_timer(src_id, 0, Time::ZERO);
         sim.run_until(Time::from_secs(10));
-        let first_half = tx.borrow().packets;
+        let first_half = sim.link(link).stats().offered;
         sim.run_until(Time::from_secs(20));
-        let second_half = tx.borrow().packets - first_half;
+        let second_half = sim.link(link).stats().offered - first_half;
         assert!(
             second_half > 2 * first_half,
             "after the 3× shift: {first_half} then {second_half}"
@@ -519,12 +458,11 @@ mod tests {
             schedule,
             stop: Time::from_secs(6),
         };
-        let (src, tx) = CbrSource::new(cfg);
-        let src_id = sim.add_endpoint(Box::new(src));
+        let src_id = sim.add_endpoint(Box::new(CbrSource::new(cfg)));
         sim.schedule_timer(src_id, 0, Time::ZERO);
         sim.run_until(Time::from_secs(7));
         // ~2 s silent out of 6 → roughly 4/6 of the full-rate count.
-        let sent = tx.borrow().packets;
+        let sent = sim.link(link).stats().offered;
         assert!(
             (400..600).contains(&sent),
             "sent {sent}, expected ≈500 (2 s silenced)"
@@ -559,8 +497,7 @@ mod tests {
         let mut sim = Simulator::new(5);
         let fwd = fat_link(&mut sim);
         let rev = fat_link(&mut sim);
-        let (refl, _cnt) = Reflector::new(Route::direct(rev));
-        let refl_id = sim.add_endpoint(Box::new(refl));
+        let refl_id = sim.add_endpoint(Box::new(Reflector::new(Route::direct(rev))));
         let replies = Rc::new(RefCell::new(Vec::new()));
         let prober = Prober {
             route: Route::direct(fwd),
@@ -579,20 +516,8 @@ mod tests {
 
     #[test]
     fn sources_stop_at_their_deadline() {
-        let (sent_10, _) = run_source(
-            |cfg| {
-                let (s, h) = CbrSource::new(cfg);
-                (Box::new(s), h)
-            },
-            10,
-        );
-        let (sent_20, _) = run_source(
-            |cfg| {
-                let (s, h) = CbrSource::new(cfg);
-                (Box::new(s), h)
-            },
-            20,
-        );
+        let (sent_10, _) = run_source(|cfg| Box::new(CbrSource::new(cfg)), 10);
+        let (sent_20, _) = run_source(|cfg| Box::new(CbrSource::new(cfg)), 20);
         assert!((sent_20 as f64 / sent_10 as f64 - 2.0).abs() < 0.01);
     }
 }

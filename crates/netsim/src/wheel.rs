@@ -207,7 +207,7 @@ impl TimerWheel {
         self.counters.wheel_scheduled += 1;
         let idx = (abs % SLOTS as u64) as usize;
         self.occupied[idx / 64] |= 1u64 << (idx % 64);
-        // lint:allow(hot-path-alloc): slot buckets retain capacity and are pooled across traces (EnginePool)
+        // lint:allow(hot-path-alloc): slot buckets retain capacity; the wheel wraps many times per run, so each grows only to its slot's high-water mark
         self.slots[idx].push(entry);
     }
 
@@ -301,10 +301,10 @@ impl TimerWheel {
 
     /// Extracts slot `abs` into the sorted batch and advances the wheel
     /// position to it. The entries are moved out by `append` so every
-    /// bucket keeps its own buffer: capacities converge to each slot's
-    /// high-water mark and then stop growing (the steady state
-    /// `EnginePool` pins), instead of drifting as buffers would if
-    /// batch and slot storage were swapped.
+    /// bucket keeps its own buffer: as the wheel wraps, capacities
+    /// converge to each slot's high-water mark and then stop growing,
+    /// instead of drifting as buffers would if batch and slot storage
+    /// were swapped.
     fn extract(&mut self, abs: u64) {
         let idx = (abs % SLOTS as u64) as usize;
         self.occupied[idx / 64] &= !(1u64 << (idx % 64));
@@ -316,29 +316,6 @@ impl TimerWheel {
         // so later pushes simply take the slot path again.
         self.batch_end_ns = (abs + 1).saturating_mul(SLOT_NS);
         self.cur_slot = abs;
-    }
-
-    /// Empties the wheel in place, retaining every buffer's capacity
-    /// (the pooling point of `EnginePool`), and zeroes the counters.
-    pub fn clear(&mut self) {
-        for bucket in &mut self.slots {
-            bucket.clear();
-        }
-        self.occupied = [0; WORDS];
-        self.batch.clear();
-        self.batch_pos = 0;
-        self.batch_end_ns = 0;
-        self.cur_slot = 0;
-        self.overflow.clear();
-        self.len = 0;
-        self.counters = WheelCounters::default();
-    }
-
-    /// Retained capacities `(slot buckets total, batch, overflow)` —
-    /// what the steady-state pooling tests assert on.
-    pub fn capacity_profile(&self) -> (usize, usize, usize) {
-        let slots: usize = self.slots.iter().map(Vec::capacity).sum();
-        (slots, self.batch.capacity(), self.overflow.capacity())
     }
 }
 
@@ -434,24 +411,6 @@ mod tests {
         w.push(entry(Time::from_millis(3), 1), now);
         let popped: Vec<u64> = std::iter::from_fn(|| w.pop(now).map(|e| e.seq)).collect();
         assert_eq!(popped, vec![1, 0]);
-    }
-
-    #[test]
-    fn clear_retains_capacity_and_resets_state() {
-        let mut w = TimerWheel::new();
-        for seq in 0..100 {
-            let at = Time::from_nanos(seq * SLOT_NS * 7 + 13);
-            w.push(entry(at, seq), Time::ZERO);
-        }
-        let _ = w.pop(Time::ZERO);
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.counters(), WheelCounters::default());
-        let (slot_cap, _, _) = w.capacity_profile();
-        assert!(slot_cap > 0, "cleared buckets keep their buffers");
-        // And the wheel is fully usable from time zero again.
-        w.push(entry(Time::from_nanos(5), 9), Time::ZERO);
-        assert_eq!(drain(&mut w), vec![(5, 9)]);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! like the same world with the handles kept — same counters (elided
 //! arrivals aside), same clock, same link statistics, same outputs at
 //! the observed endpoints — at every checkpoint, including cut-offs
-//! with packets still in propagation. And the elided-arrival FIFO holds
-//! only the packets in propagation, not a whole run's worth of keys.
+//! with packets still in propagation. (That the elided-arrival FIFO
+//! holds only the packets in propagation is checked in `engine.rs`'s
+//! unit tests, which can read its capacity.)
 
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -16,8 +17,8 @@ use tputpred_netsim::sources::{
     CbrSource, ParetoOnOffSource, PoissonSource, RxHandle, Sink, SourceConfig,
 };
 use tputpred_netsim::{
-    Ctx, Endpoint, EndpointId, EngineCounters, EnginePool, LinkId, LinkStats, Packet, Payload,
-    RateSchedule, Route, Simulator, Time,
+    Ctx, Endpoint, EndpointId, EngineCounters, LinkId, LinkStats, Packet, Payload, RateSchedule,
+    Route, Simulator, Time,
 };
 
 /// Everything an observer of the world can read.
@@ -124,9 +125,14 @@ fn build(shape: &Shape, keep_handles: bool) -> World {
     let (l1_only, both) = (Route::direct(l1), Route::new(&[l1, l2]));
     let (cbr, poisson, pareto) = shape.loads;
     let sources: [Box<dyn Endpoint>; 3] = [
-        Box::new(CbrSource::new(cfg(l1_only, near, cbr)).0),
-        Box::new(PoissonSource::new(cfg(l1_only, near, poisson)).0),
-        Box::new(ParetoOnOffSource::new(cfg(both, far, pareto), 0.5, 1.6, 0.05).0),
+        Box::new(CbrSource::new(cfg(l1_only, near, cbr))),
+        Box::new(PoissonSource::new(cfg(l1_only, near, poisson))),
+        Box::new(ParetoOnOffSource::new(
+            cfg(both, far, pareto),
+            0.5,
+            1.6,
+            0.05,
+        )),
     ];
     for src in sources {
         let id = sim.add_endpoint(src);
@@ -241,60 +247,22 @@ impl Endpoint for Burst {
 }
 
 #[test]
-fn elided_fifo_holds_only_packets_in_propagation() {
-    // 4000 packets of 1.2 ms each (1500 B at 10 Mbps) serialize back to
-    // back for 4.8 s with no timer in between, inside one `run_until`:
-    // only the per-push settling can keep the FIFO short.
-    let (rate_bps, delay, count) = (10e6, Time::from_millis(20), 4000);
-    let mut sim = Simulator::new(3);
-    let link = sim.add_link(LinkConfig::new(rate_bps, delay, count));
+fn quiescence_ends_the_clock_at_the_last_elided_arrival() {
+    let mut sim = Simulator::new(5);
+    let link = sim.add_link(LinkConfig::new(10e6, Time::from_millis(20), 100));
     let (sink, _) = Sink::new();
     let sink = sim.add_endpoint(Box::new(sink));
     let burst = sim.add_endpoint(Box::new(Burst {
         route: Route::direct(link),
         dst: sink,
-        count,
+        count: 100,
     }));
     sim.schedule_timer(burst, 0, Time::ZERO);
-    sim.run_until(Time::from_secs(10));
-    let c = sim.counters();
-    assert_eq!(c.elided_arrivals, u64::from(count), "{c:?}");
-    assert_eq!(c.packets_delivered, u64::from(count));
-    let tx = Time::tx_time(1500, rate_bps);
-    let in_propagation = (delay.as_nanos() / tx.as_nanos() + 1) as usize;
-    let capacity = sim.into_pool().capacity().elided_entries;
-    assert!(
-        capacity <= (2 * in_propagation).max(4),
-        "elided FIFO grew to {capacity} entries; at most {in_propagation} are ever in propagation"
-    );
-}
-
-#[test]
-fn elided_fifo_reaches_a_steady_state_in_the_pool() {
-    let run = |pool: EnginePool| {
-        let mut sim = Simulator::with_pool(5, pool);
-        let link = sim.add_link(LinkConfig::new(10e6, Time::from_millis(20), 100));
-        let (sink, _) = Sink::new();
-        let sink = sim.add_endpoint(Box::new(sink));
-        let burst = sim.add_endpoint(Box::new(Burst {
-            route: Route::direct(link),
-            dst: sink,
-            count: 100,
-        }));
-        sim.schedule_timer(burst, 0, Time::ZERO);
-        sim.run_to_quiescence();
-        (sim.counters(), sim.now(), sim.into_pool())
-    };
-    let (first, end, pool) = run(EnginePool::new());
-    assert_eq!(first.elided_arrivals, 100);
+    sim.run_to_quiescence();
+    assert_eq!(sim.counters().elided_arrivals, 100);
     // The clock ends at the last (elided) arrival: 100 serializations
     // of 1.2 ms, then 20 ms of propagation.
-    assert_eq!(end, Time::from_millis(140));
-    let warm = pool.capacity();
-    assert!(warm.elided_entries > 0, "{warm:?}");
-    let (second, _, pool) = run(pool);
-    assert_eq!(second, first);
-    assert_eq!(pool.capacity(), warm);
+    assert_eq!(sim.now(), Time::from_millis(140));
 }
 
 /// Arms its timers when a packet reaches it, and logs them firing.

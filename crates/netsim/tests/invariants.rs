@@ -32,9 +32,9 @@ fn run_world(
         stop: Time::from_secs(secs),
     };
     let src: Box<dyn Endpoint> = match kind % 3 {
-        0 => Box::new(CbrSource::new(cfg).0),
-        1 => Box::new(PoissonSource::new(cfg).0),
-        _ => Box::new(ParetoOnOffSource::new(cfg, 0.5, 1.7, 0.3).0),
+        0 => Box::new(CbrSource::new(cfg)),
+        1 => Box::new(PoissonSource::new(cfg)),
+        _ => Box::new(ParetoOnOffSource::new(cfg, 0.5, 1.7, 0.3)),
     };
     let src_id = sim.add_endpoint(src);
     sim.schedule_timer(src_id, 0, Time::ZERO);

@@ -261,7 +261,7 @@ mod tests {
         if cross > 0.0 {
             let (sink, _) = Sink::new();
             let sink_id = sim.add_endpoint(Box::new(sink));
-            let (src, _) = PoissonSource::new(SourceConfig {
+            let src = PoissonSource::new(SourceConfig {
                 route: Route::direct(fwd),
                 dst: sink_id,
                 packet_size: 1000,

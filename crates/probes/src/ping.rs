@@ -223,7 +223,7 @@ mod tests {
             fwd_buffer_pkts,
         ));
         let rev = sim.add_link(LinkConfig::new(1e9, Time::from_millis(25), 1000));
-        let (reflector, _) = Reflector::new(Route::direct(rev));
+        let reflector = Reflector::new(Route::direct(rev));
         let refl_id = sim.add_endpoint(Box::new(reflector));
         let (prober, stats) = PingProber::new(
             Route::direct(fwd),
@@ -254,7 +254,7 @@ mod tests {
             let mut sim = Simulator::new(22);
             let fwd = sim.add_link(LinkConfig::new(2e6, Time::from_millis(25), 13));
             let rev = sim.add_link(LinkConfig::new(1e9, Time::from_millis(25), 1000));
-            let (reflector, _) = Reflector::new(Route::direct(rev));
+            let reflector = Reflector::new(Route::direct(rev));
             let refl_id = sim.add_endpoint(Box::new(reflector));
             // 120% offered Poisson load on the forward link (random
             // arrivals, so the probe samples the full queue at random
@@ -262,7 +262,7 @@ mod tests {
             // 100 ms probe period).
             let (sink, _) = Sink::new();
             let sink_id = sim.add_endpoint(Box::new(sink));
-            let (cbr, _) = PoissonSource::new(SourceConfig {
+            let cbr = PoissonSource::new(SourceConfig {
                 route: Route::direct(fwd),
                 dst: sink_id,
                 packet_size: 1500,

@@ -23,7 +23,7 @@ fn world(seed: u64, capacity: f64, cross: f64, buffer: u32) -> World {
     if cross > 0.0 {
         let (sink, _) = Sink::new();
         let sink_id = sim.add_endpoint(Box::new(sink));
-        let (src, _) = PoissonSource::new(SourceConfig {
+        let src = PoissonSource::new(SourceConfig {
             route: Route::direct(fwd),
             dst: sink_id,
             packet_size: 1000,
@@ -34,7 +34,7 @@ fn world(seed: u64, capacity: f64, cross: f64, buffer: u32) -> World {
         let id = sim.add_endpoint(Box::new(src));
         sim.schedule_timer(id, 0, Time::ZERO);
     }
-    let (reflector, _) = Reflector::new(Route::direct(rev));
+    let reflector = Reflector::new(Route::direct(rev));
     let refl = sim.add_endpoint(Box::new(reflector));
     World {
         sim,

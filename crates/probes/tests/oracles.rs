@@ -72,7 +72,7 @@ fn idle_path_ping_rtt_is_serialization_plus_propagation_exactly() {
     let mut link = |h: &Hop| sim.add_link(LinkConfig::new(h.rate_bps, h.delay, 64));
     let forward = Route::new(&[link(&ACCESS), link(&CORE)]);
     let back = Route::direct(link(&RETURN));
-    let (reflector, _) = Reflector::new(back);
+    let reflector = Reflector::new(back);
     let reflector = sim.add_endpoint(Box::new(reflector));
     let stop = Time::from_nanos(PROBES * INTERVAL.as_nanos());
     let (prober, stats) = PingProber::new(forward, reflector, INTERVAL, stop);

@@ -161,7 +161,7 @@ fn tcp_yields_to_cbr_cross_traffic() {
     let mut path = dumbbell(10e6, Time::from_millis(20), bdp, 6);
     let (sink, _rx) = Sink::new();
     let sink_id = path.sim.add_endpoint(Box::new(sink));
-    let (cbr, _tx) = CbrSource::new(SourceConfig {
+    let cbr = CbrSource::new(SourceConfig {
         route: Route::direct(path.fwd),
         dst: sink_id,
         packet_size: 1500,
@@ -191,7 +191,7 @@ fn flow_survives_a_total_blackout_via_timeout() {
     let sink_id = path.sim.add_endpoint(Box::new(sink));
     let schedule =
         RateSchedule::constant(0.0).with_burst(Time::from_secs(5), Time::from_secs(8), 1.0);
-    let (cbr, _tx) = CbrSource::new(SourceConfig {
+    let cbr = CbrSource::new(SourceConfig {
         route: Route::direct(path.fwd),
         dst: sink_id,
         packet_size: 1500,
@@ -377,7 +377,7 @@ fn newreno_repairs_multi_loss_windows_with_fewer_timeouts() {
             .with_burst(Time::from_secs(5), Time::from_secs_f64(5.15), 1.0)
             .with_burst(Time::from_secs(12), Time::from_secs_f64(12.15), 1.0)
             .with_burst(Time::from_secs(19), Time::from_secs_f64(19.15), 1.0);
-        let (src, _) = CbrSource::new(SourceConfig {
+        let src = CbrSource::new(SourceConfig {
             route: Route::direct(path.fwd),
             dst: sink_id,
             packet_size: 1000,

@@ -27,8 +27,6 @@
 //! dataset records about it lives in `data::EpochStatus` /
 //! `data::EpochFaults`.
 
-use std::fmt;
-
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -83,8 +81,7 @@ impl FaultConfig {
 
     /// True when every probability is zero (no fault can ever fire).
     /// A NaN is *not* "none": it fails `<= 0.0` like any positive rate
-    /// and is then caught by [`FaultConfig::validate`] /
-    /// neutralised by [`FaultConfig::sanitized`].
+    /// and is then neutralised by [`FaultConfig::sanitized`].
     pub fn is_none(&self) -> bool {
         self.epoch_missing <= 0.0
             && self.pathload_fail <= 0.0
@@ -94,38 +91,14 @@ impl FaultConfig {
             && self.transfer_fail <= 0.0
     }
 
-    /// The `(name, value)` view of every probability field, for
-    /// validation and sanitization.
-    fn fields(&self) -> [(&'static str, f64); 6] {
-        [
-            ("epoch_missing", self.epoch_missing),
-            ("pathload_fail", self.pathload_fail),
-            ("ping_outage", self.ping_outage),
-            ("reply_loss_burst", self.reply_loss_burst),
-            ("transfer_truncate", self.transfer_truncate),
-            ("transfer_fail", self.transfer_fail),
-        ]
-    }
-
-    /// Rejects the first probability outside `[0, 1]` (NaN included) —
-    /// the reject half of the construction-boundary guard. Presets come
-    /// in over serde, whose derived path performs no range checks, and a
-    /// NaN would otherwise slip past [`FaultConfig::is_none`] straight
-    /// into `random_bool`, which panics on it.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        for (field, value) in self.fields() {
-            if !(0.0..=1.0).contains(&value) {
-                return Err(ConfigError { field, value });
-            }
-        }
-        Ok(())
-    }
-
-    /// The clamp half of the guard: every probability forced into
-    /// `[0, 1]`, NaN to 0 (a rate nobody specified fires never, not
-    /// always). In-range configs come back bit-identical, which is what
-    /// lets [`FaultPlan::draw_with_regimes`] sanitize unconditionally
-    /// without moving the zero-fault pin.
+    /// Every probability forced into `[0, 1]`, NaN to 0 (a rate nobody
+    /// specified fires never, not always). A preset's fields carry no
+    /// range check of their own, and a NaN would otherwise slip past
+    /// [`FaultConfig::is_none`] into `random_bool`, which panics on it;
+    /// so every draw ([`FaultPlan::draw_with_regimes`],
+    /// [`draw_regimes`]) passes through here. In-range configs come
+    /// back bit-identical, which is what lets the draws sanitize
+    /// unconditionally without moving the zero-fault pin.
     pub fn sanitized(&self) -> FaultConfig {
         FaultConfig {
             epoch_missing: sanitize_probability(self.epoch_missing),
@@ -150,29 +123,6 @@ impl FaultConfig {
         }
     }
 }
-
-/// A probability knob outside its valid domain, by field name — the
-/// typed rejection of [`FaultConfig::validate`] /
-/// [`RegimeConfig::validate`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConfigError {
-    /// The offending field, e.g. `"ping_outage"`.
-    pub field: &'static str,
-    /// The out-of-domain value (possibly NaN).
-    pub value: f64,
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "fault/regime knob `{}` = {} outside its valid domain",
-            self.field, self.value
-        )
-    }
-}
-
-impl std::error::Error for ConfigError {}
 
 /// NaN fires never; everything else is clamped into `[0, 1]`.
 fn sanitize_probability(p: f64) -> f64 {
@@ -270,43 +220,9 @@ impl RegimeConfig {
         self.degraded_entry <= 0.0 && self.down_entry <= 0.0
     }
 
-    /// Rejects the first out-of-domain knob: entry probabilities outside
-    /// `[0, 1]`, dwell means below one epoch or non-finite, or a
-    /// negative/non-finite multiplier. A config that [`Self::is_none`]
-    /// is vacuously valid — its dwells and multiplier are never read.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.is_none() {
-            return Ok(());
-        }
-        for (field, value) in [
-            ("degraded_entry", self.degraded_entry),
-            ("down_entry", self.down_entry),
-        ] {
-            if !(0.0..=1.0).contains(&value) {
-                return Err(ConfigError { field, value });
-            }
-        }
-        for (field, value) in [
-            ("mean_degraded_dwell", self.mean_degraded_dwell),
-            ("mean_down_dwell", self.mean_down_dwell),
-        ] {
-            if !value.is_finite() || value < 1.0 {
-                return Err(ConfigError { field, value });
-            }
-        }
-        if !self.fault_multiplier.is_finite() || self.fault_multiplier < 0.0 {
-            return Err(ConfigError {
-                field: "fault_multiplier",
-                value: self.fault_multiplier,
-            });
-        }
-        Ok(())
-    }
-
-    /// The clamp half of the guard: entry rates sanitized like fault
-    /// probabilities, dwell means floored at one epoch, a NaN/∞
-    /// multiplier neutralised to 1 and negative ones to 0. Valid
-    /// configs come back bit-identical.
+    /// Entry rates sanitized like fault probabilities, dwell means
+    /// floored at one epoch, a NaN/∞ multiplier neutralised to 1 and
+    /// negative ones to 0. Valid configs come back bit-identical.
     pub fn sanitized(&self) -> RegimeConfig {
         RegimeConfig {
             degraded_entry: sanitize_probability(self.degraded_entry),
@@ -629,38 +545,7 @@ mod tests {
         assert!(faulty < 200, "not every epoch should be hit: {faulty}");
     }
 
-    // --- construction-boundary validation (satellite 1) ---------------
-
-    #[test]
-    fn validate_rejects_nan_and_out_of_range_by_field() {
-        let nan = FaultConfig {
-            ping_outage: f64::NAN,
-            ..FaultConfig::none()
-        };
-        let err = nan.validate().expect_err("NaN must be rejected");
-        assert_eq!(err.field, "ping_outage");
-        assert!(err.value.is_nan());
-        assert!(err.to_string().contains("ping_outage"), "{err}");
-        assert!(!nan.is_none(), "NaN is not a zero rate");
-
-        let big = FaultConfig {
-            transfer_fail: 1.5,
-            ..FaultConfig::none()
-        };
-        assert_eq!(
-            big.validate().expect_err("1.5 rejected").field,
-            "transfer_fail"
-        );
-        let neg = FaultConfig {
-            epoch_missing: -0.2,
-            ..FaultConfig::none()
-        };
-        assert_eq!(
-            neg.validate().expect_err("-0.2 rejected").field,
-            "epoch_missing"
-        );
-        assert!(FaultConfig::uniform(0.3).validate().is_ok());
-    }
+    // --- the draw-boundary guard ----------------------------------------
 
     #[test]
     fn sanitized_clamps_and_leaves_valid_configs_bit_identical() {
@@ -670,11 +555,24 @@ mod tests {
             ping_outage: 1.5,
             ..FaultConfig::none()
         };
+        assert!(
+            !dirty.is_none(),
+            "NaN and out-of-range rates are not zero rates"
+        );
         let clean = dirty.sanitized();
         assert_eq!(clean.epoch_missing, 0.0);
         assert_eq!(clean.pathload_fail, 0.0, "NaN clamps to never-fires");
         assert_eq!(clean.ping_outage, 1.0);
-        assert!(clean.validate().is_ok());
+        for p in [
+            clean.epoch_missing,
+            clean.pathload_fail,
+            clean.ping_outage,
+            clean.reply_loss_burst,
+            clean.transfer_truncate,
+            clean.transfer_fail,
+        ] {
+            assert!((0.0..=1.0).contains(&p), "{clean:?}");
+        }
         let valid = FaultConfig::uniform(0.3);
         assert_eq!(valid.sanitized(), valid, "valid configs must not move");
     }
@@ -696,39 +594,34 @@ mod tests {
     }
 
     #[test]
-    fn regime_validate_rejects_bad_knobs_and_accepts_none() {
-        assert!(RegimeConfig::none().validate().is_ok());
-        assert!(RegimeConfig::flaky().validate().is_ok());
-        let bad_entry = RegimeConfig {
+    fn regime_sanitized_clamps_bad_knobs_and_leaves_valid_configs_bit_identical() {
+        let bad = RegimeConfig {
             degraded_entry: f64::NAN,
-            ..RegimeConfig::flaky()
-        };
-        assert_eq!(
-            bad_entry.validate().expect_err("NaN").field,
-            "degraded_entry"
-        );
-        let bad_dwell = RegimeConfig {
+            down_entry: 1.5,
+            mean_degraded_dwell: f64::INFINITY,
             mean_down_dwell: 0.5,
-            ..RegimeConfig::flaky()
-        };
-        assert_eq!(
-            bad_dwell.validate().expect_err("0.5").field,
-            "mean_down_dwell"
-        );
-        let bad_mult = RegimeConfig {
             fault_multiplier: f64::INFINITY,
-            ..RegimeConfig::flaky()
         };
-        assert_eq!(
-            bad_mult.validate().expect_err("inf").field,
-            "fault_multiplier"
+        let clean = bad.sanitized();
+        for p in [clean.degraded_entry, clean.down_entry] {
+            assert!((0.0..=1.0).contains(&p), "{clean:?}");
+        }
+        for dwell in [clean.mean_degraded_dwell, clean.mean_down_dwell] {
+            assert!(dwell.is_finite() && dwell >= 1.0, "{clean:?}");
+        }
+        assert!(
+            clean.fault_multiplier.is_finite() && clean.fault_multiplier >= 0.0,
+            "{clean:?}"
         );
-        let clean = bad_mult.sanitized();
         assert_eq!(
             clean.fault_multiplier, 1.0,
             "non-finite multiplier is neutral"
         );
-        assert!(clean.validate().is_ok());
+        let negative = RegimeConfig {
+            fault_multiplier: -2.0,
+            ..RegimeConfig::flaky()
+        };
+        assert_eq!(negative.sanitized().fault_multiplier, 0.0);
         assert_eq!(
             RegimeConfig::flaky().sanitized(),
             RegimeConfig::flaky(),

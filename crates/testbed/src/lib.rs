@@ -59,13 +59,12 @@ pub use data::{
     CompleteEpoch, Dataset, EpochFaults, EpochRecord, EpochStatus, PathData, ShardStats, TraceData,
 };
 pub use faults::{
-    draw_regimes, ConfigError, EpochFaultPlan, FaultConfig, FaultPlan, OutageRegime, RegimeConfig,
-    TransferFault,
+    draw_regimes, EpochFaultPlan, FaultConfig, FaultPlan, OutageRegime, RegimeConfig, TransferFault,
 };
 pub use path::{catalog_2004, catalog_2006, CrossProfile, PathConfig};
 pub use preset::{CatalogKind, Preset};
 pub use runner::{
     catalog_for, for_each_path, generate, generate_path, load_or_generate_sharded, run_trace,
-    run_trace_pooled, set_generation_workers, trace_seed,
+    set_generation_workers, trace_seed,
 };
 pub use synth::{class_counts, class_specs, synth_catalog, ClassSpec};

@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tputpred_netsim::link::LinkConfig;
 use tputpred_netsim::sources::{ParetoOnOffSource, PoissonSource, Reflector, Sink, SourceConfig};
-use tputpred_netsim::{EnginePool, LinkId, RateSchedule, Route, Simulator, Time};
+use tputpred_netsim::{LinkId, RateSchedule, Route, Simulator, Time};
 use tputpred_obs as obs;
 use tputpred_probes::ping::{PingProber, PingSummary, ProbeMask};
 use tputpred_probes::{BulkTransfer, Pathload, PathloadConfig};
@@ -52,27 +52,12 @@ pub fn trace_seed(path: &PathConfig, trace_idx: usize) -> u64 {
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-// Per-worker recycled engine buffers: a generation run builds one
-// simulator per trace (2800+ per quick dataset), and without pooling
-// each re-grows the timer wheel, scratch, and per-link buffers from
-// zero. Capacity-only — pooled runs are bit-identical to fresh ones
-// (`tests/pool_reuse.rs`).
-std::thread_local! {
-    static ENGINE_POOL: std::cell::RefCell<EnginePool> =
-        std::cell::RefCell::new(EnginePool::new());
-}
-
 /// Assembles the simulation of one trace: links, cross traffic with the
 /// trace's random load schedule, the probe reflector, and the continuous
-/// ping prober. `pool` provides recycled engine buffers (capacity-only).
-fn build_trace(
-    path: &PathConfig,
-    trace_idx: usize,
-    preset: &Preset,
-    pool: EnginePool,
-) -> TraceWorld {
+/// ping prober.
+fn build_trace(path: &PathConfig, trace_idx: usize, preset: &Preset) -> TraceWorld {
     let seed = trace_seed(path, trace_idx);
-    let mut sim = Simulator::with_pool(seed, pool);
+    let mut sim = Simulator::new(seed);
     let fwd = sim.add_link(LinkConfig::new(
         path.capacity_bps,
         path.one_way,
@@ -107,7 +92,7 @@ fn build_trace(
     if poisson_rate > 1.0 {
         let (sink, _) = Sink::new();
         let sink_id = sim.add_endpoint(Box::new(sink));
-        let (src, _) = PoissonSource::new(SourceConfig {
+        let src = PoissonSource::new(SourceConfig {
             route: Route::direct(fwd),
             dst: sink_id,
             packet_size: 1000,
@@ -126,7 +111,7 @@ fn build_trace(
         let sink_id = sim.add_endpoint(Box::new(sink));
         let n = cross.pareto_sources.max(1);
         for _ in 0..n {
-            let (src, _) = ParetoOnOffSource::new(
+            let src = ParetoOnOffSource::new(
                 SourceConfig {
                     route: Route::direct(fwd),
                     dst: sink_id,
@@ -161,7 +146,7 @@ fn build_trace(
     }
 
     // Ping runs across the whole trace.
-    let (reflector, _) = Reflector::new(Route::direct(rev));
+    let reflector = Reflector::new(Route::direct(rev));
     let refl_id = sim.add_endpoint(Box::new(reflector));
     let (prober, ping) =
         PingProber::new(Route::direct(fwd), refl_id, preset.ping_interval, trace_len);
@@ -323,30 +308,13 @@ fn epoch_faults(plan: &EpochFaultPlan) -> EpochFaults {
 /// probabilities zero this function is call-for-call identical to a
 /// build without the fault layer (the replay test pins this).
 pub fn run_trace(path: &PathConfig, trace_idx: usize, preset: &Preset) -> TraceData {
-    ENGINE_POOL.with(|cell| {
-        let mut pool = cell.borrow_mut();
-        run_trace_pooled(path, trace_idx, preset, &mut pool)
-    })
-}
-
-/// [`run_trace`] with an explicit engine-buffer pool: the trace's
-/// simulator is built from `pool` and its buffers are returned to it
-/// afterwards. Pooling is capacity-only, so results are bit-identical
-/// to a pool-free run; steady-state capacity is pinned by
-/// `tests/pool_reuse.rs`.
-pub fn run_trace_pooled(
-    path: &PathConfig,
-    trace_idx: usize,
-    preset: &Preset,
-    pool: &mut EnginePool,
-) -> TraceData {
     let _trace_scope = obs::time_scope("testbed.trace_wall");
     let _path_scope = if obs::enabled() {
         obs::time_scope(&format!("path_wall.{}", path.name))
     } else {
         obs::time_scope("path_wall.disabled")
     };
-    let mut world = build_trace(path, trace_idx, preset, std::mem::take(pool));
+    let mut world = build_trace(path, trace_idx, preset);
     let plan = FaultPlan::draw_with_regimes(
         &preset.faults,
         &preset.regimes,
@@ -541,7 +509,6 @@ pub fn run_trace_pooled(
         });
     }
     flush_trace_telemetry(&world, preset.trace_len());
-    *pool = world.sim.into_pool();
     TraceData { records }
 }
 

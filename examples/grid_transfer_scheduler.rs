@@ -36,7 +36,7 @@ fn main() {
     let rev = sim.add_link(LinkConfig::new(1e9, Time::from_millis(30), 1000));
     let (sink, _) = Sink::new();
     let sink_id = sim.add_endpoint(Box::new(sink));
-    let (src, _) = ParetoOnOffSource::new(
+    let src = ParetoOnOffSource::new(
         SourceConfig {
             route: Route::direct(fwd),
             dst: sink_id,
@@ -54,7 +54,7 @@ fn main() {
     // Mid-experiment load surge: an extra smooth 5 Mbps appears for a few
     // minutes. The avail-bw drops to ~7 Mbps — still above the
     // window-limited rate, but the saturating strategy's share swings.
-    let (surge, _) = PoissonSource::new(SourceConfig {
+    let surge = PoissonSource::new(SourceConfig {
         route: Route::direct(fwd),
         dst: sink_id,
         packet_size: 1000,

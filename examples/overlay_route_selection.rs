@@ -60,7 +60,7 @@ fn build_path(
     let (sink, _) = Sink::new();
     let sink_id = sim.add_endpoint(Box::new(sink));
     if poisson_load > 0.0 {
-        let (src, _) = PoissonSource::new(SourceConfig {
+        let src = PoissonSource::new(SourceConfig {
             route: Route::direct(fwd),
             dst: sink_id,
             packet_size: 1000,
@@ -72,7 +72,7 @@ fn build_path(
         sim.schedule_timer(id, 0, Time::ZERO);
     }
     if bursty_load > 0.0 {
-        let (src, _) = ParetoOnOffSource::new(
+        let src = ParetoOnOffSource::new(
             SourceConfig {
                 route: Route::direct(fwd),
                 dst: sink_id,
@@ -88,7 +88,7 @@ fn build_path(
         let id = sim.add_endpoint(Box::new(src));
         sim.schedule_timer(id, 0, Time::ZERO);
     }
-    let (reflector, _) = Reflector::new(Route::direct(rev));
+    let reflector = Reflector::new(Route::direct(rev));
     let refl_id = sim.add_endpoint(Box::new(reflector));
     let (prober, ping) = PingProber::new(
         Route::direct(fwd),

@@ -54,7 +54,7 @@ fn mirror(
     let (sink, _) = Sink::new();
     let sink_id = sim.add_endpoint(Box::new(sink));
     if load > 0.0 {
-        let (src, _) = PoissonSource::new(SourceConfig {
+        let src = PoissonSource::new(SourceConfig {
             route: Route::direct(fwd),
             dst: sink_id,
             packet_size: 1000,

@@ -34,7 +34,7 @@ fn main() {
     let rev = sim.add_link(LinkConfig::new(1e9, Time::from_millis(30), 1000));
     let (sink, _) = Sink::new();
     let sink_id = sim.add_endpoint(Box::new(sink));
-    let (cross, _) = PoissonSource::new(SourceConfig {
+    let cross = PoissonSource::new(SourceConfig {
         route: Route::direct(fwd),
         dst: sink_id,
         packet_size: 1000,
@@ -46,7 +46,7 @@ fn main() {
     sim.schedule_timer(cross_id, 0, Time::ZERO);
 
     // ── 2. Non-intrusive measurements ─────────────────────────────────
-    let (reflector, _) = Reflector::new(Route::direct(rev));
+    let reflector = Reflector::new(Route::direct(rev));
     let refl_id = sim.add_endpoint(Box::new(reflector));
     let (prober, ping) = PingProber::new(
         Route::direct(fwd),
