@@ -13,23 +13,21 @@
 //!
 //! # Event schedule (DESIGN.md §14)
 //!
-//! The engine used to keep every pending event in one global
-//! `BinaryHeap`; it now splits the schedule by event class, keyed
-//! everywhere by the same global `(at, seq)` order the heap enforced
-//! (`seq` is assigned at scheduling time from one engine-wide counter,
-//! exactly where the old code pushed into the heap — so dispatch order
-//! is bit-identical to the heap engine):
+//! Every pending event carries a packed `(at, seq)` key (`seq` is
+//! assigned at scheduling time from one engine-wide counter), and the
+//! engine dispatches in ascending key order. The schedule is split in
+//! two by event class:
 //!
-//! * **Timers** go through a [`crate::wheel::TimerWheel`] — O(1)
-//!   bucketed slots for the near future, an overflow heap past the
-//!   ~1 s horizon.
+//! * **Timers** sit in one `BinaryHeap`. Link events never enter it, so
+//!   it stays small: a few hundred pending timers per trace, about 1400
+//!   at most.
 //! * **Link events** never enter a queue at all. Each link has at most
 //!   one pending serialization completion (the serializer is busy with
 //!   exactly one packet) and a FIFO of in-flight arrivals (propagation
 //!   delay is constant per link, so arrival order equals transmission
 //!   order and the deque stays sorted by construction). A step takes
-//!   the minimum `(at, seq)` across the wheel head and the per-link
-//!   heads — a two-compare scan for the simulator's typical two links.
+//!   the minimum key across the heap top and the per-link heads — a
+//!   two-compare scan for the simulator's typical two links.
 //!
 //! Past-due timers are **clamped to `now` in every build** (counted in
 //! [`EngineCounters::timer_clamps`]); the clock is monotonic — a
@@ -59,23 +57,22 @@
 //! FIFO sorted like the first. Such an arrival is *settled* — counted
 //! in `arrival_events`, `packets_delivered` and `elided_arrivals`, and
 //! the clock moved to it — once the event order passes its key: before
-//! the link elides another packet (up to `now`), before the timer wheel
-//! advances (the one place a stale clock is read: up to the timer being
-//! dispatched), and when [`Simulator::run_until`] or
-//! [`Simulator::run_to_quiescence`] returns. So every counter, the clock
-//! and the wheel read exactly what dispatching the arrivals would have
-//! left them, and the FIFO holds only packets still in propagation.
+//! the link elides another packet (up to `now`), and when
+//! [`Simulator::run_until`] or [`Simulator::run_to_quiescence`] returns.
+//! So every counter and the clock read exactly what dispatching the
+//! arrivals would have left them, and the FIFO holds only packets still
+//! in propagation.
 //!
 //! [discards]: Endpoint::discards
 
 use crate::link::{Link, LinkConfig, LinkId, Offer};
 use crate::packet::{Packet, Payload, Route};
 use crate::time::Time;
-use crate::wheel::{TimerEntry, TimerWheel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Identifies an endpoint within a [`Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -122,14 +119,7 @@ impl Ctx<'_> {
     // lint:hot-path
     pub fn set_timer(&mut self, token: u64, at: Time) {
         self.sim.counters.endpoint_calls += 1;
-        let at = self.sim.clamp_to_now(at);
-        let seq = self.sim.next_seq();
-        self.sim.wheel_push(TimerEntry {
-            at,
-            seq,
-            endpoint: self.self_id,
-            token,
-        });
+        self.sim.push_timer(self.self_id, token, at);
     }
 
     /// Arms a timer to fire `delay` from now.
@@ -187,6 +177,34 @@ const fn key(at: Time, seq: u64) -> u128 {
 // lint:hot-path
 const fn key_at(k: u128) -> Time {
     Time::from_nanos((k >> 64) as u64)
+}
+
+/// A pending timer: [`Endpoint::on_timer`] fires with `token` on
+/// `endpoint` at the time packed in `key`. Ordered by `key` alone (keys
+/// are unique) and reversed, so the max-heap pops the earliest timer.
+#[derive(Debug, Clone, Copy)]
+struct Timer {
+    /// Packed `(at, seq)` dispatch key ([`key`]).
+    key: u128,
+    endpoint: EndpointId,
+    token: u64,
+}
+
+impl PartialEq for Timer {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+impl Eq for Timer {}
+impl PartialOrd for Timer {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Timer {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
 }
 
 /// Pending engine events for one link: the single in-serializer
@@ -298,15 +316,6 @@ pub struct EngineCounters {
     /// Past-due timer arms clamped up to `now` (identical in debug and
     /// release builds; zero in a well-behaved simulation).
     pub timer_clamps: u64,
-    /// Timer entries placed into near-future wheel slots (migrations
-    /// from the overflow heap count again here).
-    pub wheel_scheduled: u64,
-    /// Timer entries that spilled past the wheel horizon into the
-    /// overflow heap.
-    pub overflow_scheduled: u64,
-    /// Overflow entries migrated into wheel slots as the horizon
-    /// advanced.
-    pub overflow_migrated: u64,
 }
 
 /// The discrete-event simulator.
@@ -343,11 +352,8 @@ pub struct EngineCounters {
 pub struct Simulator {
     now: Time,
     seq: u64,
-    wheel: TimerWheel,
-    /// Cached packed key of the wheel's earliest entry ([`KEY_NONE`]
-    /// when the wheel is empty), maintained on every push and pop so
-    /// the per-event head scan never calls into the wheel.
-    wheel_head: u128,
+    /// Pending timers; the top is the earliest.
+    timers: BinaryHeap<Timer>,
     links: Vec<Link>,
     /// Parallel to `links`.
     link_events: Vec<LinkEvents>,
@@ -365,8 +371,7 @@ impl Simulator {
         Simulator {
             now: Time::ZERO,
             seq: 0,
-            wheel: TimerWheel::new(),
-            wheel_head: KEY_NONE,
+            timers: BinaryHeap::new(),
             links: Vec::new(),
             link_events: Vec::new(),
             endpoints: Vec::new(),
@@ -407,17 +412,13 @@ impl Simulator {
     }
 
     /// Deterministic engine-level tallies (events by kind, packet
-    /// offer outcomes, commands applied, timer-wheel scheduling). The
-    /// two aggregate tallies are derived here rather than double-counted
-    /// in the event loop.
+    /// offer outcomes, endpoint calls, timer clamps). The two
+    /// aggregate tallies are derived here rather than double-counted in
+    /// the event loop.
     pub fn counters(&self) -> EngineCounters {
         let mut c = self.counters;
         c.events = c.timer_events + c.txdone_events + c.arrival_events;
         c.packets_offered = c.packets_tx_started + c.packets_queued + c.packets_dropped;
-        let w = self.wheel.counters();
-        c.wheel_scheduled = w.wheel_scheduled;
-        c.overflow_scheduled = w.overflow_scheduled;
-        c.overflow_migrated = w.overflow_migrated;
         c
     }
 
@@ -426,26 +427,32 @@ impl Simulator {
     /// within callbacks). A past-due `at` is clamped to `now` (counted in
     /// [`EngineCounters::timer_clamps`]) — identically in debug and
     /// release builds.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an endpoint id this simulator did not hand out.
     pub fn schedule_timer(&mut self, endpoint: EndpointId, token: u64, at: Time) {
+        let n = self.endpoints.len();
+        assert!(
+            (endpoint.0 as usize) < n,
+            "schedule_timer: endpoint {} is not in this simulator ({n} endpoints)",
+            endpoint.0
+        );
+        self.push_timer(endpoint, token, at);
+    }
+
+    /// Arms a timer: clamps `at` to `now`, takes the next `seq` and
+    /// pushes the keyed entry onto the timer heap.
+    // lint:hot-path
+    fn push_timer(&mut self, endpoint: EndpointId, token: u64, at: Time) {
         let at = self.clamp_to_now(at);
         let seq = self.next_seq();
-        self.wheel_push(TimerEntry {
-            at,
-            seq,
+        // lint:allow(hot-path-alloc): the timer heap keeps its capacity for the whole run and holds only the pending timers (about 1400 at most)
+        self.timers.push(Timer {
+            key: key(at, seq),
             endpoint,
             token,
         });
-    }
-
-    /// Pushes onto the wheel, keeping the cached head key current.
-    // lint:hot-path
-    fn wheel_push(&mut self, entry: TimerEntry) {
-        let k = key(entry.at, entry.seq);
-        if k < self.wheel_head {
-            self.wheel_head = k;
-        }
-        // lint:allow(hot-path-alloc): TimerWheel::push is O(1) bucketing, not container growth; its internal buffers carry their own justified allows
-        self.wheel.push(entry, self.now);
     }
 
     /// Allocates the next global scheduling sequence number — the FIFO
@@ -472,11 +479,11 @@ impl Simulator {
     }
 
     /// The packed key and source of the earliest pending event — a
-    /// pure scan over the cached wheel head and the per-link head keys
+    /// pure scan over the timer heap's top and the per-link head keys
     /// ([`KEY_NONE`] sentinels mean no branches on emptiness).
     // lint:hot-path
     fn peek_next(&self) -> Option<(u128, Pending)> {
-        let mut best = self.wheel_head;
+        let mut best = self.timers.peek().map_or(KEY_NONE, |t| t.key);
         let mut which = Pending::Timer;
         for (i, le) in self.link_events.iter().enumerate() {
             if le.tx_key < best {
@@ -517,30 +524,10 @@ impl Simulator {
     fn dispatch(&mut self, pending: Pending) {
         match pending {
             Pending::Timer => {
-                // A wheel advance reads the clock, and one comes when
-                // the live batch runs dry on this pop or the peek after
-                // it. Settle first the elided arrivals ahead of this
-                // timer, so the wheel reads the clock it would have read
-                // had they been dispatched.
-                if self.wheel.batched() <= 1 {
-                    self.settle_elided(self.wheel_head);
-                }
-                // `peek_next` saw the cached head. The live batch holds
-                // it unless the head sits in a slot not yet extracted —
-                // then the full pop runs the advance.
-                let popped = match self.wheel.pop_head() {
-                    Some(e) => Some(e),
-                    None => self.wheel.pop(self.now),
-                };
-                if let Some(e) = popped {
-                    debug_assert!(key(e.at, e.seq) == self.wheel_head, "stale wheel head");
-                    self.wheel_head = self
-                        .wheel
-                        .peek_key(self.now)
-                        .map_or(KEY_NONE, |(a, s)| key(a, s));
-                    self.now = self.now.max(e.at);
+                if let Some(t) = self.timers.pop() {
+                    self.now = self.now.max(key_at(t.key));
                     self.counters.timer_events += 1;
-                    self.call_endpoint(e.endpoint, |ep, ctx| ep.on_timer(ctx, e.token));
+                    self.call_endpoint(t.endpoint, |ep, ctx| ep.on_timer(ctx, t.token));
                 }
             }
             Pending::TxDone(i) => {
@@ -917,10 +904,10 @@ mod tests {
     }
 
     #[test]
-    fn far_future_timers_cross_the_wheel_horizon() {
-        // A 60 s RTO-style timer lies far past the ~1 s wheel horizon:
-        // it must spill to the overflow heap, migrate back in, and fire
-        // exactly on time and in order.
+    fn far_future_timers_fire_on_time_and_in_order() {
+        // Timers armed out of order, seconds to a minute ahead (a 60 s
+        // RTO-style timer among them), fire exactly on time and in
+        // time order.
         struct Logger {
             log: Rc<RefCell<Vec<(u64, Time)>>>,
         }
@@ -947,9 +934,15 @@ mod tests {
                 (0, Time::from_secs(60)),
             ]
         );
-        let c = sim.counters();
-        assert!(c.overflow_scheduled >= 2, "{c:?}");
-        assert_eq!(c.overflow_migrated, c.overflow_scheduled);
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoint 3 is not in this simulator")]
+    fn schedule_timer_rejects_a_foreign_endpoint() {
+        let mut sim = Simulator::new(1);
+        let (sink, _) = Sink::new();
+        sim.add_endpoint(Box::new(sink));
+        sim.schedule_timer(EndpointId(3), 0, Time::ZERO);
     }
 
     #[test]
@@ -1034,7 +1027,6 @@ mod tests {
             c.events,
             c.timer_events + c.txdone_events + c.arrival_events
         );
-        assert_eq!(c.wheel_scheduled, c.timer_events, "every timer bucketed");
         assert_eq!(c.timer_clamps, 0);
         // Replay: counters are part of the deterministic output.
         let (mut sim2, _, _) = world(12e6, 5, 2, 5, 1500);

@@ -10,8 +10,8 @@
 //! simulation, not I/O):
 //!
 //! * [`engine::Simulator`] — the event scheduler over a nanosecond
-//!   clock ([`time::Time`]): timers on a bucketed [`wheel::TimerWheel`],
-//!   link serialization/propagation on per-link FIFO streams, with
+//!   clock ([`time::Time`]): timers in one binary heap, link
+//!   serialization/propagation on per-link FIFO streams, with
 //!   deterministic FIFO tie-breaking and a seeded RNG, so every
 //!   experiment is exactly reproducible from its seed (DESIGN.md §14).
 //! * [`link::Link`] — a unidirectional link: serialization at a configured
@@ -40,11 +40,9 @@ pub mod random;
 pub mod schedule;
 pub mod sources;
 pub mod time;
-pub mod wheel;
 
 pub use engine::{Ctx, Endpoint, EndpointId, EngineCounters, Simulator};
 pub use link::{Link, LinkConfig, LinkId, LinkStats};
 pub use packet::{Packet, Payload, ProbeMeta, Route, TcpMeta, MAX_HOPS};
 pub use schedule::RateSchedule;
 pub use time::Time;
-pub use wheel::{TimerEntry, TimerWheel};

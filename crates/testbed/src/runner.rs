@@ -268,9 +268,6 @@ fn flush_trace_telemetry(world: &TraceWorld, trace_len: Time) {
     obs::add("netsim.packets_delivered", c.packets_delivered);
     obs::add("netsim.endpoint_calls", c.endpoint_calls);
     obs::add("netsim.timer_clamps", c.timer_clamps);
-    obs::add("netsim.wheel_scheduled", c.wheel_scheduled);
-    obs::add("netsim.overflow_scheduled", c.overflow_scheduled);
-    obs::add("netsim.overflow_migrated", c.overflow_migrated);
     let fwd = world.sim.link(world.fwd).stats();
     obs::add("netsim.fwd.packets_out", fwd.packets_out);
     obs::add("netsim.fwd.bytes_out", fwd.bytes_out);
