@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 
 use crate::cli::Args;
 use tputpred_netsim::link::LinkConfig;
-use tputpred_netsim::sources::{ParetoOnOffSource, PoissonSource, Sink, SourceConfig};
+use tputpred_netsim::sources::{ParetoOnOffSource, PoissonSource, Sink, Source, SourceConfig};
 use tputpred_netsim::{LinkId, RateSchedule, Route, Simulator, Time};
 use tputpred_probes::BulkTransfer;
 use tputpred_tcp::TcpConfig;
@@ -52,13 +52,11 @@ pub(crate) fn add_cross_traffic(
         schedule: RateSchedule::constant(1.0),
         stop: Time::MAX,
     };
-    let id = match pareto {
-        Some((duty, alpha, on)) => {
-            sim.add_endpoint(Box::new(ParetoOnOffSource::new(cfg, duty, alpha, on)))
-        }
-        None => sim.add_endpoint(Box::new(PoissonSource::new(cfg))),
+    let source: Source = match pareto {
+        Some((duty, alpha, on)) => ParetoOnOffSource::new(cfg, duty, alpha, on).into(),
+        None => PoissonSource::new(cfg).into(),
     };
-    sim.schedule_timer(id, 0, Time::ZERO);
+    sim.add_source(source, Time::ZERO);
 }
 
 /// The single-bottleneck testbed of the controlled ablations: a

@@ -4,7 +4,7 @@
 //! One [`Simulator`] owns the links, the endpoints, the event schedule,
 //! and a seeded RNG. Endpoints implement [`Endpoint`] and interact with
 //! the world exclusively through a [`Ctx`] handed to their callbacks —
-//! its `send`/`set_timer` operations apply to the engine immediately, in
+//! its `send`/`set_timer`/`arm` operations apply to the engine immediately, in
 //! issue order (the callback's own endpoint is lifted out of the table
 //! for the duration, so the borrow is sound and re-entry is impossible).
 //! The event order is deterministic: events at equal timestamps dispatch
@@ -16,18 +16,29 @@
 //! Every pending event carries a packed `(at, seq)` key (`seq` is
 //! assigned at scheduling time from one engine-wide counter), and the
 //! engine dispatches in ascending key order. The schedule is split in
-//! two by event class:
+//! three by event class:
 //!
-//! * **Timers** sit in one `BinaryHeap`. Link events never enter it, so
-//!   it stays small: a few hundred pending timers per trace, about 1400
-//!   at most.
+//! * **Timers that will fire live** sit in one `BinaryHeap`. An
+//!   endpoint that keeps moving one deadline (TCP's retransmission and
+//!   delayed-ACK timers) arms a [`TimerSlot`] through [`Ctx::arm`]:
+//!   the slot keeps its one live key, and a re-arm reaches the heap only
+//!   when it sorts before every entry the slot already has there. A
+//!   slot entry that pops without being the live key calls no endpoint;
+//!   it re-pushes the live key if no later slot entry still precedes
+//!   it. So the heap holds a few dozen timers, not one per ACK.
+//! * **Open-loop sources** ([`crate::sources::Source`], added by
+//!   [`Simulator::add_source`]) are not endpoints. Each keeps one
+//!   pending key in a lane beside the heap, and the lane's earliest key
+//!   is cached; a firing runs the generator inline and re-keys it.
 //! * **Link events** never enter a queue at all. Each link has at most
 //!   one pending serialization completion (the serializer is busy with
 //!   exactly one packet) and a FIFO of in-flight arrivals (propagation
 //!   delay is constant per link, so arrival order equals transmission
-//!   order and the deque stays sorted by construction). A step takes
-//!   the minimum key across the heap top and the per-link heads — a
-//!   two-compare scan for the simulator's typical two links.
+//!   order and the deque stays sorted by construction).
+//!
+//! A step takes the minimum key across the heap top, the lane's cached
+//! minimum and the per-link heads — a handful of integer compares for
+//! the simulator's typical two links.
 //!
 //! Past-due timers are **clamped to `now` in every build** (counted in
 //! [`EngineCounters::timer_clamps`]); the clock is monotonic — a
@@ -63,10 +74,22 @@
 //! arrivals would have left them, and the FIFO holds only packets still
 //! in propagation.
 //!
+//! # Superseded timers (DESIGN.md §14)
+//!
+//! A slot arm that is re-armed or disarmed before its time never fires,
+//! but `timer_events` still counts it, as it counted the stale firing
+//! endpoints used to ignore: the engine keeps its key and counts it
+//! once the event order passes it — when the store of such keys has
+//! doubled since it was last settled (everything due by `now`), and
+//! when [`Simulator::run_until`] (everything due by its `t`) or
+//! [`Simulator::run_to_quiescence`] (everything; the clock ends at the
+//! last one) returns. [`EngineCounters::elided_timers`] says how many.
+//!
 //! [discards]: Endpoint::discards
 
 use crate::link::{Link, LinkConfig, LinkId, Offer};
 use crate::packet::{Packet, Payload, Route};
+use crate::sources::Source;
 use crate::time::Time;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -77,6 +100,43 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Identifies an endpoint within a [`Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct EndpointId(pub u32);
+
+impl EndpointId {
+    /// The `src` of packets from open-loop sources
+    /// ([`Simulator::add_source`]): sources are not endpoints, and
+    /// nothing answers cross traffic.
+    pub const OPEN_LOOP: EndpointId = EndpointId(u32::MAX);
+}
+
+/// A re-armable timer an endpoint owns: at most one arm is live, and
+/// re-arming or disarming it supersedes the previous arm, which then
+/// never reaches the endpoint. Arm it with [`Ctx::arm`], cancel it with
+/// [`Ctx::disarm`]. The engine keeps the slot's state; the first arm
+/// binds the slot to the arming endpoint (and simulator), and a slot
+/// must not be armed by another.
+#[derive(Debug)]
+pub struct TimerSlot {
+    /// Index into the engine's slot table ([`TimerSlot::UNBOUND`] until
+    /// the first arm).
+    index: u32,
+}
+
+impl TimerSlot {
+    const UNBOUND: u32 = u32::MAX;
+
+    /// A slot that was never armed.
+    pub const fn new() -> Self {
+        TimerSlot {
+            index: Self::UNBOUND,
+        }
+    }
+}
+
+impl Default for TimerSlot {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 /// The world handle passed to endpoint callbacks.
 ///
@@ -111,11 +171,12 @@ impl Ctx<'_> {
         });
     }
 
-    /// Arms (or re-arms) a timer: [`Endpoint::on_timer`] fires with
-    /// `token` at absolute time `at`. Timers are not cancellable —
-    /// endpoints version their tokens and ignore stale ones, the idiom
-    /// TCP's retransmission timer uses. A past-due `at` is clamped to
-    /// the current time (see [`EngineCounters::timer_clamps`]).
+    /// Arms a one-shot timer: [`Endpoint::on_timer`] fires with `token`
+    /// at absolute time `at`. Such a timer cannot be cancelled or moved;
+    /// a deadline that moves (a retransmission timeout, a delayed ACK)
+    /// belongs in a [`TimerSlot`] armed with [`Ctx::arm`]. A past-due
+    /// `at` is clamped to the current time (see
+    /// [`EngineCounters::timer_clamps`]).
     // lint:hot-path
     pub fn set_timer(&mut self, token: u64, at: Time) {
         self.sim.counters.endpoint_calls += 1;
@@ -128,13 +189,45 @@ impl Ctx<'_> {
         self.set_timer(token, at);
     }
 
+    /// Arms `slot` to fire [`Endpoint::on_timer`] with `token` at
+    /// absolute time `at`, superseding the slot's live arm, if any. The
+    /// arm takes its `(at, seq)` key here, as [`Ctx::set_timer`] does,
+    /// and a past-due `at` is clamped the same way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another endpoint armed `slot` first.
+    // lint:hot-path
+    pub fn arm(&mut self, slot: &mut TimerSlot, token: u64, at: Time) {
+        self.sim.counters.endpoint_calls += 1;
+        self.sim.arm_slot(slot, self.self_id, token, at);
+    }
+
+    /// Cancels `slot`'s live arm, if any; it never fires. Not an engine
+    /// call in [`EngineCounters::endpoint_calls`]: nothing is scheduled.
+    // lint:hot-path
+    pub fn disarm(&mut self, slot: &mut TimerSlot) {
+        if slot.index != TimerSlot::UNBOUND {
+            self.sim.disarm_slot(slot.index);
+        }
+    }
+
+    /// Whether `slot` has a live arm. A slot is disarmed while its own
+    /// firing runs.
+    // lint:hot-path
+    pub fn is_armed(&self, slot: &TimerSlot) -> bool {
+        slot.index != TimerSlot::UNBOUND && self.sim.slots[slot.index as usize].live != KEY_NONE
+    }
+
     /// The simulation's deterministic RNG.
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.sim.rng
     }
 }
 
-/// A protocol endpoint: TCP sender/receiver, probe, traffic source, sink.
+/// A protocol endpoint: TCP sender/receiver, probe, sink, reflector.
+/// (Open-loop traffic sources are not endpoints; see
+/// [`Simulator::add_source`].)
 pub trait Endpoint {
     /// A packet addressed to this endpoint arrived.
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: Packet);
@@ -179,16 +272,45 @@ const fn key_at(k: u128) -> Time {
     Time::from_nanos((k >> 64) as u64)
 }
 
-/// A pending timer: [`Endpoint::on_timer`] fires with `token` on
-/// `endpoint` at the time packed in `key`. Ordered by `key` alone (keys
-/// are unique) and reversed, so the max-heap pops the earliest timer.
+/// A pending heap timer, fired at the time packed in `key`. Ordered by
+/// `key` alone (keys are unique) and reversed, so the max-heap pops the
+/// earliest timer.
 #[derive(Debug, Clone, Copy)]
 struct Timer {
     /// Packed `(at, seq)` dispatch key ([`key`]).
     key: u128,
-    endpoint: EndpointId,
-    token: u64,
+    owner: Owner,
 }
+
+/// Whose timer a heap entry is.
+#[derive(Debug, Clone, Copy)]
+enum Owner {
+    /// A one-shot timer ([`Ctx::set_timer`], [`Simulator::schedule_timer`]):
+    /// [`Endpoint::on_timer`] fires with `token` on `endpoint`.
+    Once { endpoint: EndpointId, token: u64 },
+    /// An entry of the slot at this index of the slot table; it fires
+    /// only if it is the slot's live key, with the slot's token.
+    Slot(u32),
+}
+
+/// The engine's half of a [`TimerSlot`].
+#[derive(Debug)]
+struct SlotState {
+    endpoint: EndpointId,
+    /// The token of the latest arm.
+    token: u64,
+    /// Key of the live arm ([`KEY_NONE`] when disarmed or fired).
+    live: u128,
+    /// The keys of this slot's entries on the timer heap, descending.
+    /// An arm is pushed only when it sorts before all of them, and the
+    /// heap pops the earliest first, so this is a stack: the last key
+    /// is the next of the slot's entries to pop.
+    on_heap: Vec<u128>,
+}
+
+/// Size below which the store of superseded arms is not settled
+/// before it doubles (see the module docs).
+const SUPERSEDED_SETTLE_MIN: usize = 64;
 
 impl PartialEq for Timer {
     fn eq(&self, other: &Self) -> bool {
@@ -269,6 +391,7 @@ impl Default for LinkEvents {
 #[derive(Debug, Clone, Copy)]
 enum Pending {
     Timer,
+    Source(u32),
     TxDone(u32),
     Arrival(u32),
 }
@@ -283,13 +406,17 @@ enum Pending {
 /// counts in all three, at the moment its dispatch would have, so they
 /// keep the meaning and the values they had before arrivals could be
 /// elided. [`EngineCounters::elided_arrivals`] says how many of them
-/// were counted rather than dispatched.
+/// were counted rather than dispatched. `timer_events` is logical in
+/// the same way: a superseded slot arm counts once the event order
+/// passes its key ([`EngineCounters::elided_timers`]), as the stale
+/// firing it once was did.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Total logical events: dispatched plus elided. Derived: the sum
     /// of the three per-kind event tallies.
     pub events: u64,
-    /// Timer callbacks dispatched.
+    /// Timer events: heap timers and source firings dispatched, plus
+    /// superseded slot arms the event order passed.
     pub timer_events: u64,
     /// Link serializations completed.
     pub txdone_events: u64,
@@ -310,12 +437,21 @@ pub struct EngineCounters {
     /// Packets delivered to a destination endpoint (elided arrivals
     /// included).
     pub packets_delivered: u64,
-    /// Endpoint calls into the engine: every [`Ctx::send`] and
-    /// [`Ctx::set_timer`], each applied inline against the simulator.
+    /// Endpoint calls into the engine: every [`Ctx::send`],
+    /// [`Ctx::set_timer`] and [`Ctx::arm`], each applied inline against
+    /// the simulator, and a source firing's send and re-key, as the
+    /// sources' own calls once were.
     pub endpoint_calls: u64,
     /// Past-due timer arms clamped up to `now` (identical in debug and
     /// release builds; zero in a well-behaved simulation).
     pub timer_clamps: u64,
+    /// Entries pushed onto the timer heap: one-shot timers, slot arms
+    /// that sort before the slot's entries, and live keys re-pushed
+    /// behind a superseded entry. Observation only.
+    pub timer_pushes: u64,
+    /// The subset of `timer_events` that are superseded slot arms:
+    /// counted once the event order passed them, never dispatched.
+    pub elided_timers: u64,
 }
 
 /// The discrete-event simulator.
@@ -354,6 +490,20 @@ pub struct Simulator {
     seq: u64,
     /// Pending timers; the top is the earliest.
     timers: BinaryHeap<Timer>,
+    /// The engine's half of every bound [`TimerSlot`].
+    slots: Vec<SlotState>,
+    /// Keys of superseded slot arms not yet counted (unordered).
+    superseded: Vec<u128>,
+    /// `superseded` is settled up to `now` when it reaches this length.
+    settle_at: usize,
+    /// The open-loop sources, fired from the lane.
+    sources: Vec<Source>,
+    /// Parallel to `sources`: each one's pending key ([`KEY_NONE`] once
+    /// it stopped).
+    source_keys: Vec<u128>,
+    /// The least of `source_keys`, and its index.
+    lane_key: u128,
+    lane_index: u32,
     links: Vec<Link>,
     /// Parallel to `links`.
     link_events: Vec<LinkEvents>,
@@ -372,6 +522,13 @@ impl Simulator {
             now: Time::ZERO,
             seq: 0,
             timers: BinaryHeap::new(),
+            slots: Vec::new(),
+            superseded: Vec::new(),
+            settle_at: SUPERSEDED_SETTLE_MIN,
+            sources: Vec::new(),
+            source_keys: Vec::new(),
+            lane_key: KEY_NONE,
+            lane_index: 0,
             links: Vec::new(),
             link_events: Vec::new(),
             endpoints: Vec::new(),
@@ -395,6 +552,18 @@ impl Simulator {
         self.discards.push(endpoint.discards());
         self.endpoints.push(Some(endpoint));
         id
+    }
+
+    /// Adds an open-loop source that first fires at `start` (clamped to
+    /// `now`, as [`Simulator::schedule_timer`] clamps). The source's
+    /// first key takes its `seq` here, where the bootstrap timer of a
+    /// timer-driven source took it.
+    pub fn add_source(&mut self, source: impl Into<Source>, start: Time) {
+        let at = self.clamp_to_now(start);
+        let k = key(at, self.next_seq());
+        self.sources.push(source.into());
+        self.source_keys.push(k);
+        self.refresh_lane();
     }
 
     /// Read access to a link (its config and statistics).
@@ -441,18 +610,144 @@ impl Simulator {
         self.push_timer(endpoint, token, at);
     }
 
-    /// Arms a timer: clamps `at` to `now`, takes the next `seq` and
-    /// pushes the keyed entry onto the timer heap.
+    /// Arms a one-shot timer: clamps `at` to `now`, takes the next `seq`
+    /// and pushes the keyed entry onto the timer heap.
     // lint:hot-path
     fn push_timer(&mut self, endpoint: EndpointId, token: u64, at: Time) {
         let at = self.clamp_to_now(at);
-        let seq = self.next_seq();
-        // lint:allow(hot-path-alloc): the timer heap keeps its capacity for the whole run and holds only the pending timers (about 1400 at most)
-        self.timers.push(Timer {
-            key: key(at, seq),
+        let k = key(at, self.next_seq());
+        self.push_heap(k, Owner::Once { endpoint, token });
+    }
+
+    /// Pushes one entry onto the timer heap.
+    // lint:hot-path
+    fn push_heap(&mut self, key: u128, owner: Owner) {
+        self.counters.timer_pushes += 1;
+        // lint:allow(hot-path-alloc): the timer heap keeps its capacity for the whole run and holds only the timers that will fire live, plus a few superseded slot entries
+        self.timers.push(Timer { key, owner });
+    }
+
+    /// Arms `slot` for `endpoint` (see [`Ctx::arm`]): clamps `at`, takes
+    /// the next `seq`, supersedes the live arm and pushes the new key
+    /// only if it sorts before every entry the slot has on the heap.
+    // lint:hot-path
+    fn arm_slot(&mut self, slot: &mut TimerSlot, endpoint: EndpointId, token: u64, at: Time) {
+        let at = self.clamp_to_now(at);
+        let k = key(at, self.next_seq());
+        if slot.index == TimerSlot::UNBOUND {
+            slot.index = self.bind_slot(endpoint);
+        }
+        let s = &mut self.slots[slot.index as usize];
+        assert!(
+            s.endpoint == endpoint,
+            "timer slot of endpoint {} armed by endpoint {}",
+            s.endpoint.0,
+            endpoint.0
+        );
+        s.token = token;
+        let superseded = std::mem::replace(&mut s.live, k);
+        let push = s.on_heap.last().is_none_or(|&first| k < first);
+        if push {
+            // lint:allow(hot-path-alloc): the slot's stack of heap keys keeps its capacity and holds a few entries at most
+            s.on_heap.push(k);
+            self.push_heap(k, Owner::Slot(slot.index));
+        }
+        if superseded != KEY_NONE {
+            self.supersede(superseded);
+        }
+    }
+
+    /// Adds a disarmed slot of `endpoint` to the slot table (a slot's
+    /// first arm); returns its index.
+    fn bind_slot(&mut self, endpoint: EndpointId) -> u32 {
+        self.slots.push(SlotState {
             endpoint,
-            token,
+            token: 0,
+            live: KEY_NONE,
+            on_heap: Vec::new(),
         });
+        (self.slots.len() - 1) as u32
+    }
+
+    /// Cancels the live arm of the slot at `index`, if any.
+    // lint:hot-path
+    fn disarm_slot(&mut self, index: u32) {
+        let superseded = std::mem::replace(&mut self.slots[index as usize].live, KEY_NONE);
+        if superseded != KEY_NONE {
+            self.supersede(superseded);
+        }
+    }
+
+    /// Keeps the key of an arm that will never fire, to count it once
+    /// the event order passes it. The keys already behind the clock are
+    /// settled each time the store doubles, so it holds only superseded
+    /// arms still ahead.
+    // lint:hot-path
+    fn supersede(&mut self, k: u128) {
+        // lint:allow(hot-path-alloc): the store keeps its capacity and is settled to the arms still ahead whenever it doubles
+        self.superseded.push(k);
+        if self.superseded.len() >= self.settle_at {
+            self.settle_superseded(key_through(self.now));
+        }
+    }
+
+    /// Counts the superseded arms keyed before `limit` as the timer
+    /// events their stale firings were; returns the last of their keys
+    /// (0 when none).
+    // lint:hot-path
+    fn settle_superseded(&mut self, limit: u128) -> u128 {
+        let mut n = 0;
+        let mut last = 0;
+        self.superseded.retain(|&k| {
+            let due = k < limit;
+            if due {
+                n += 1;
+                last = last.max(k);
+            }
+            !due
+        });
+        self.counters.timer_events += n;
+        self.counters.elided_timers += n;
+        self.settle_at = (2 * self.superseded.len()).max(SUPERSEDED_SETTLE_MIN);
+        last
+    }
+
+    /// A slot entry keyed `k` popped off the heap: returns the endpoint
+    /// and token to fire if `k` is the slot's live key (which disarms
+    /// the slot). Otherwise `k` was superseded, and nothing fires; the
+    /// live key is pushed if none of the slot's remaining entries comes
+    /// before it, and the entry is dropped if one does.
+    // lint:hot-path
+    fn pop_slot_entry(&mut self, index: u32, k: u128) -> Option<(EndpointId, u64)> {
+        let s = &mut self.slots[index as usize];
+        s.on_heap.pop();
+        if s.live == k {
+            s.live = KEY_NONE;
+            return Some((s.endpoint, s.token));
+        }
+        let live = s.live;
+        if live != KEY_NONE && s.on_heap.last().is_none_or(|&first| live < first) {
+            // lint:allow(hot-path-alloc): the slot's stack of heap keys keeps its capacity and holds a few entries at most
+            s.on_heap.push(live);
+            self.push_heap(live, Owner::Slot(index));
+        }
+        None
+    }
+
+    /// Re-reads the lane's earliest source key (a trace has a handful
+    /// of sources).
+    // lint:hot-path
+    fn refresh_lane(&mut self) {
+        let mut best = KEY_NONE;
+        let mut index = 0;
+        for (i, &k) in self.source_keys.iter().enumerate() {
+            if k < best {
+                best = k;
+                index = i;
+            }
+        }
+        self.lane_key = best;
+        self.lane_index = index as u32;
     }
 
     /// Allocates the next global scheduling sequence number — the FIFO
@@ -479,12 +774,17 @@ impl Simulator {
     }
 
     /// The packed key and source of the earliest pending event — a
-    /// pure scan over the timer heap's top and the per-link head keys
-    /// ([`KEY_NONE`] sentinels mean no branches on emptiness).
+    /// pure scan over the timer heap's top, the source lane's cached
+    /// minimum and the per-link head keys ([`KEY_NONE`] sentinels mean
+    /// no branches on emptiness).
     // lint:hot-path
     fn peek_next(&self) -> Option<(u128, Pending)> {
         let mut best = self.timers.peek().map_or(KEY_NONE, |t| t.key);
         let mut which = Pending::Timer;
+        if self.lane_key < best {
+            best = self.lane_key;
+            which = Pending::Source(self.lane_index);
+        }
         for (i, le) in self.link_events.iter().enumerate() {
             if le.tx_key < best {
                 best = le.tx_key;
@@ -519,17 +819,26 @@ impl Simulator {
 
     /// Pops and executes the event `peek_next` resolved. The clock only
     /// moves forward (`max`): a clamped past-due entry must not rewind
-    /// it.
+    /// it. A superseded slot entry dispatches nothing (its arm is
+    /// counted from the superseded store).
     // lint:hot-path
     fn dispatch(&mut self, pending: Pending) {
         match pending {
             Pending::Timer => {
                 if let Some(t) = self.timers.pop() {
+                    let (endpoint, token) = match t.owner {
+                        Owner::Once { endpoint, token } => (endpoint, token),
+                        Owner::Slot(index) => match self.pop_slot_entry(index, t.key) {
+                            Some(fire) => fire,
+                            None => return,
+                        },
+                    };
                     self.now = self.now.max(key_at(t.key));
                     self.counters.timer_events += 1;
-                    self.call_endpoint(t.endpoint, |ep, ctx| ep.on_timer(ctx, t.token));
+                    self.call_endpoint(endpoint, |ep, ctx| ep.on_timer(ctx, token));
                 }
             }
+            Pending::Source(i) => self.fire_source(i as usize),
             Pending::TxDone(i) => {
                 let li = i as usize;
                 let le = &mut self.link_events[li];
@@ -591,6 +900,31 @@ impl Simulator {
         }
     }
 
+    /// Fires source `i` of the lane at its key, as its timer once did:
+    /// one timer event; the packet routed first (its `StartTx` takes the
+    /// next `seq`), then the source's next key takes the one after. The
+    /// generator's draws come from the simulation RNG, which routing
+    /// never touches. Each send and re-key counts as the endpoint call
+    /// it was; the last firing, at the source's stop, does neither.
+    // lint:hot-path
+    fn fire_source(&mut self, i: usize) {
+        self.now = self.now.max(key_at(self.source_keys[i]));
+        self.counters.timer_events += 1;
+        let firing = self.sources[i].fire(self.now, &mut self.rng);
+        if let Some(packet) = firing.packet {
+            self.counters.endpoint_calls += 1;
+            self.route_packet(packet);
+        }
+        self.source_keys[i] = match firing.next {
+            Some(at) => {
+                self.counters.endpoint_calls += 1;
+                key(at, self.next_seq())
+            }
+            None => KEY_NONE,
+        };
+        self.refresh_lane();
+    }
+
     /// Runs all events up to and including time `t`, then advances the
     /// clock to `t`. Monotonic: calling with `t` earlier than the
     /// current time dispatches nothing and leaves the clock untouched
@@ -603,14 +937,18 @@ impl Simulator {
             self.dispatch(pending);
         }
         self.settle_elided(key_through(t));
+        self.settle_superseded(key_through(t));
         self.now = self.now.max(t);
     }
 
     /// Runs until the event schedule drains (all traffic quiesces). The
-    /// clock ends at the last event, elided arrivals included.
+    /// clock ends at the last event, elided arrivals and superseded
+    /// timers included.
     pub fn run_to_quiescence(&mut self) {
         while self.step() {}
         self.settle_elided(KEY_NONE);
+        let last = self.settle_superseded(KEY_NONE);
+        self.now = self.now.max(key_at(last));
     }
 
     /// Counts `n` elided arrivals as the arrivals and deliveries their
@@ -1008,6 +1346,113 @@ mod tests {
             capacity <= (2 * in_propagation).max(4),
             "elided FIFO grew to {capacity} entries; at most {in_propagation} are ever in propagation"
         );
+    }
+
+    /// Sends `count` packets to itself over `link`, one per arrival,
+    /// re-arming its slot `rto` ahead on each send — a sender's
+    /// retransmission timer re-armed on every ACK.
+    struct Rearmer {
+        link: LinkId,
+        rto: Time,
+        slot: TimerSlot,
+        left: u32,
+        fired: Rc<RefCell<Vec<(Time, u64)>>>,
+    }
+    impl Rearmer {
+        fn send(&mut self, ctx: &mut Ctx<'_>) {
+            if self.left == 0 {
+                return;
+            }
+            self.left -= 1;
+            ctx.send(Route::direct(self.link), ctx.self_id, 1500, Payload::Raw);
+            let at = ctx.now + self.rto;
+            ctx.arm(&mut self.slot, u64::from(self.left), at);
+        }
+    }
+    impl Endpoint for Rearmer {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, _p: Packet) {
+            self.send(ctx);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            if token == u64::MAX {
+                self.send(ctx);
+            } else {
+                self.fired.borrow_mut().push((ctx.now, token));
+            }
+        }
+    }
+
+    #[test]
+    fn superseded_store_holds_only_arms_still_ahead() {
+        // 8000 sends 2.2 ms apart (1.2 ms serialization, 1 ms
+        // propagation) re-arm a 1 s timer inside one `run_until`: only
+        // the settling as the store doubles keeps it near the ~455 arms
+        // a second ahead.
+        let (count, rto) = (8000, Time::from_secs(1));
+        let mut sim = Simulator::new(3);
+        let link = sim.add_link(LinkConfig::new(10e6, Time::from_millis(1), 10));
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        let ep = sim.add_endpoint(Box::new(Rearmer {
+            link,
+            rto,
+            slot: TimerSlot::new(),
+            left: count,
+            fired: Rc::clone(&fired),
+        }));
+        sim.schedule_timer(ep, u64::MAX, Time::ZERO);
+        sim.run_until(Time::from_secs(30));
+        let c = sim.counters();
+        // The bootstrap timer, the last arm's live fire, and every
+        // superseded arm, counted once passed.
+        assert_eq!(c.timer_events, 1 + u64::from(count), "{c:?}");
+        assert_eq!(c.elided_timers, u64::from(count) - 1, "{c:?}");
+        // One push for the bootstrap, one for the first arm, one per
+        // superseded entry popped (each re-pushes the live key).
+        assert!(c.timer_pushes < 60, "{c:?}");
+        let period = Time::tx_time(1500, 10e6) + Time::from_millis(1);
+        assert_eq!(fired.borrow().len(), 1);
+        assert_eq!(
+            fired.borrow()[0].1,
+            0,
+            "the live fire carries the last arm's token"
+        );
+        let ahead = (rto.as_nanos() / period.as_nanos() + 1) as usize;
+        let capacity = sim.superseded.capacity();
+        assert!(
+            capacity <= 4 * ahead,
+            "superseded store grew to {capacity} entries; at most {ahead} arms are ever ahead"
+        );
+        assert!(sim.superseded.is_empty());
+    }
+
+    #[test]
+    fn quiescence_ends_the_clock_at_the_last_superseded_arm() {
+        struct ArmThenDisarm {
+            slot: TimerSlot,
+        }
+        impl Endpoint for ArmThenDisarm {
+            fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _p: Packet) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+                match token {
+                    0 => ctx.arm(&mut self.slot, 7, Time::from_secs(10)),
+                    1 => ctx.disarm(&mut self.slot),
+                    _ => panic!("a disarmed slot fired"),
+                }
+            }
+        }
+        let mut sim = Simulator::new(1);
+        let ep = sim.add_endpoint(Box::new(ArmThenDisarm {
+            slot: TimerSlot::new(),
+        }));
+        sim.schedule_timer(ep, 0, Time::ZERO);
+        sim.schedule_timer(ep, 1, Time::from_secs(1));
+        sim.run_until(Time::from_secs(5));
+        // The disarmed arm lies ahead: not yet counted.
+        assert_eq!(sim.counters().timer_events, 2);
+        sim.run_to_quiescence();
+        let c = sim.counters();
+        assert_eq!((c.timer_events, c.elided_timers), (3, 1), "{c:?}");
+        assert_eq!(sim.now(), Time::from_secs(10));
     }
 
     #[test]

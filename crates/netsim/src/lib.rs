@@ -10,7 +10,9 @@
 //! simulation, not I/O):
 //!
 //! * [`engine::Simulator`] — the event scheduler over a nanosecond
-//!   clock ([`time::Time`]): timers in one binary heap, link
+//!   clock ([`time::Time`]): live timers in one binary heap
+//!   (re-armable [`engine::TimerSlot`]s keep superseded arms out of
+//!   it), open-loop sources in a lane of their own, link
 //!   serialization/propagation on per-link FIFO streams, with
 //!   deterministic FIFO tie-breaking and a seeded RNG, so every
 //!   experiment is exactly reproducible from its seed (DESIGN.md §14).
@@ -23,9 +25,10 @@
 //!   and cross-traffic sources can share one packet type.
 //! * [`engine::Endpoint`] — the trait protocol endpoints implement:
 //!   callbacks for packet arrival and timer expiry, issuing commands
-//!   (send, set timer) through an [`engine::Ctx`].
-//! * [`sources`] — cross-traffic generators: constant-bit-rate, Poisson,
-//!   and Pareto on-off (heavy-tailed bursts), plus a counting sink and an
+//!   (send, set or arm a timer) through an [`engine::Ctx`].
+//! * [`sources`] — open-loop cross-traffic generators, fired by the
+//!   engine rather than as endpoints: constant-bit-rate, Poisson, and
+//!   Pareto on-off (heavy-tailed bursts); plus a counting sink and an
 //!   echo reflector for probes.
 //! * [`schedule::RateSchedule`] — piecewise-constant load modulation with
 //!   level shifts and transient outlier bursts: the §5.2 time-series
@@ -41,7 +44,7 @@ pub mod schedule;
 pub mod sources;
 pub mod time;
 
-pub use engine::{Ctx, Endpoint, EndpointId, EngineCounters, Simulator};
+pub use engine::{Ctx, Endpoint, EndpointId, EngineCounters, Simulator, TimerSlot};
 pub use link::{Link, LinkConfig, LinkId, LinkStats};
 pub use packet::{Packet, Payload, ProbeMeta, Route, TcpMeta, MAX_HOPS};
 pub use schedule::RateSchedule;

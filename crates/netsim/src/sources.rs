@@ -14,9 +14,13 @@
 //! Elastic cross traffic is a persistent TCP flow from `tputpred-tcp`.
 //!
 //! Every generator consults a [`RateSchedule`] so the testbed can inject
-//! level shifts and outlier bursts. All are [`Endpoint`]s driven by a
-//! single self-rearming timer; drivers bootstrap them with
-//! [`crate::Simulator::schedule_timer`] (token 0) at their start time.
+//! level shifts and outlier bursts. They are not endpoints: nothing
+//! answers open-loop traffic, so a generator is a [`Source`] handed to
+//! [`crate::Simulator::add_source`] with its start time, and the
+//! engine fires it from a lane of its own, one firing
+//! per emission (or re-check), without a timer or a callback
+//! (DESIGN.md §14). Their packets carry [`EndpointId::OPEN_LOOP`] as
+//! `src`.
 //!
 //! [`Sink`] counts delivered traffic — or, once its handle is dropped,
 //! lets the engine skip delivering to it ([`Endpoint::discards`]);
@@ -28,6 +32,7 @@ use crate::packet::{Packet, Payload, Route};
 use crate::random;
 use crate::schedule::{RateSchedule, ScheduleCursor};
 use crate::time::Time;
+use rand::rngs::StdRng;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -100,8 +105,83 @@ impl GapMemo {
     }
 }
 
-fn emit(ctx: &mut Ctx<'_>, cfg: &SourceConfig) {
-    ctx.send(cfg.route, cfg.dst, cfg.packet_size, Payload::Raw);
+/// What one firing of a source does: the packet to send, if any, and
+/// when the source fires next (`None` once it stopped).
+pub(crate) struct Firing {
+    pub(crate) packet: Option<Packet>,
+    pub(crate) next: Option<Time>,
+}
+
+impl Firing {
+    /// The firing at or past `stop`: nothing sent, never again.
+    const STOPPED: Firing = Firing {
+        packet: None,
+        next: None,
+    };
+
+    /// Sends nothing; fires again at `next`.
+    fn wait(next: Time) -> Firing {
+        Firing {
+            packet: None,
+            next: Some(next),
+        }
+    }
+
+    /// Sends one packet of `cfg`; fires again at `next`.
+    fn emit(cfg: &SourceConfig, next: Time) -> Firing {
+        Firing {
+            packet: Some(Packet {
+                size: cfg.packet_size,
+                src: EndpointId::OPEN_LOOP,
+                dst: cfg.dst,
+                route: cfg.route,
+                hop_index: 0,
+                payload: Payload::Raw,
+            }),
+            next: Some(next),
+        }
+    }
+}
+
+/// An open-loop traffic generator, as [`crate::Simulator::add_source`]
+/// takes it (each generator converts with `into()`).
+pub enum Source {
+    /// Constant bit rate.
+    Cbr(CbrSource),
+    /// Poisson arrivals.
+    Poisson(PoissonSource),
+    /// Pareto on-off bursts.
+    ParetoOnOff(ParetoOnOffSource),
+}
+
+impl Source {
+    /// Fires the generator at `now`, drawing from the simulation's `rng`.
+    // lint:hot-path
+    pub(crate) fn fire(&mut self, now: Time, rng: &mut StdRng) -> Firing {
+        match self {
+            Source::Cbr(s) => s.fire(now),
+            Source::Poisson(s) => s.fire(now, rng),
+            Source::ParetoOnOff(s) => s.fire(now, rng),
+        }
+    }
+}
+
+impl From<CbrSource> for Source {
+    fn from(s: CbrSource) -> Self {
+        Source::Cbr(s)
+    }
+}
+
+impl From<PoissonSource> for Source {
+    fn from(s: PoissonSource) -> Self {
+        Source::Poisson(s)
+    }
+}
+
+impl From<ParetoOnOffSource> for Source {
+    fn from(s: ParetoOnOffSource) -> Self {
+        Source::ParetoOnOff(s)
+    }
 }
 
 /// Constant-bit-rate source: one packet every `size·8/rate` seconds.
@@ -122,21 +202,18 @@ impl CbrSource {
     }
 }
 
-impl Endpoint for CbrSource {
-    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _packet: Packet) {}
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        if ctx.now >= self.cfg.stop {
-            return;
+impl CbrSource {
+    // lint:hot-path
+    fn fire(&mut self, now: Time) -> Firing {
+        if now >= self.cfg.stop {
+            return Firing::STOPPED;
         }
-        let rate = self.cfg.effective_rate(ctx.now, &mut self.cursor);
+        let rate = self.cfg.effective_rate(now, &mut self.cursor);
         if rate < 1.0 {
-            ctx.set_timer_after(0, IDLE_RECHECK);
-            return;
+            return Firing::wait(now + IDLE_RECHECK);
         }
-        emit(ctx, &self.cfg);
         let gap = self.memo.tx_time(self.cfg.packet_size, rate);
-        ctx.set_timer_after(0, gap);
+        Firing::emit(&self.cfg, now + gap)
     }
 }
 
@@ -157,22 +234,19 @@ impl PoissonSource {
     }
 }
 
-impl Endpoint for PoissonSource {
-    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _packet: Packet) {}
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        if ctx.now >= self.cfg.stop {
-            return;
+impl PoissonSource {
+    // lint:hot-path
+    fn fire(&mut self, now: Time, rng: &mut StdRng) -> Firing {
+        if now >= self.cfg.stop {
+            return Firing::STOPPED;
         }
-        let rate = self.cfg.effective_rate(ctx.now, &mut self.cursor);
+        let rate = self.cfg.effective_rate(now, &mut self.cursor);
         if rate < 1.0 {
-            ctx.set_timer_after(0, IDLE_RECHECK);
-            return;
+            return Firing::wait(now + IDLE_RECHECK);
         }
-        emit(ctx, &self.cfg);
         let mean_gap = self.cfg.packet_size as f64 * 8.0 / rate;
-        let gap = random::exponential(ctx.rng(), mean_gap);
-        ctx.set_timer_after(0, Time::from_secs_f64(gap));
+        let gap = random::exponential(rng, mean_gap);
+        Firing::emit(&self.cfg, now + Time::from_secs_f64(gap))
     }
 }
 
@@ -230,41 +304,37 @@ impl ParetoOnOffSource {
     }
 }
 
-impl Endpoint for ParetoOnOffSource {
-    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _packet: Packet) {}
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        if ctx.now >= self.cfg.stop {
-            return;
+impl ParetoOnOffSource {
+    // lint:hot-path
+    fn fire(&mut self, now: Time, rng: &mut StdRng) -> Firing {
+        if now >= self.cfg.stop {
+            return Firing::STOPPED;
         }
         match self.state {
             OnOffState::Off => {
                 // Begin an on-period.
                 let xmin = random::pareto_scale_for_mean(self.alpha, self.mean_on);
-                let on_len = random::pareto(ctx.rng(), self.alpha, xmin);
+                let on_len = random::pareto(rng, self.alpha, xmin);
                 self.state = OnOffState::On {
-                    until: ctx.now + Time::from_secs_f64(on_len),
+                    until: now + Time::from_secs_f64(on_len),
                 };
                 // Fall through to emit immediately.
-                self.on_timer(ctx, 0);
+                self.fire(now, rng)
             }
             OnOffState::On { until } => {
-                if ctx.now >= until {
+                if now >= until {
                     // Begin an off-period.
                     let mean_off = self.mean_on * (1.0 - self.duty_cycle) / self.duty_cycle;
-                    let off_len = random::exponential(ctx.rng(), mean_off);
+                    let off_len = random::exponential(rng, mean_off);
                     self.state = OnOffState::Off;
-                    ctx.set_timer_after(0, Time::from_secs_f64(off_len));
-                    return;
+                    return Firing::wait(now + Time::from_secs_f64(off_len));
                 }
-                let rate = self.peak_rate(ctx.now);
+                let rate = self.peak_rate(now);
                 if rate < 1.0 {
-                    ctx.set_timer_after(0, IDLE_RECHECK);
-                    return;
+                    return Firing::wait(now + IDLE_RECHECK);
                 }
-                emit(ctx, &self.cfg);
                 let gap = self.memo.tx_time(self.cfg.packet_size, rate);
-                ctx.set_timer_after(0, gap);
+                Firing::emit(&self.cfg, now + gap)
             }
         }
     }
@@ -366,7 +436,7 @@ mod tests {
     /// packets its sink received.
     fn run_source<F>(make: F, secs: u64) -> (u64, u64)
     where
-        F: FnOnce(SourceConfig) -> Box<dyn Endpoint>,
+        F: FnOnce(SourceConfig) -> Source,
     {
         let mut sim = Simulator::new(11);
         let link = fat_link(&mut sim);
@@ -380,8 +450,7 @@ mod tests {
             schedule: RateSchedule::constant(1.0),
             stop: Time::from_secs(secs),
         };
-        let src_id = sim.add_endpoint(make(cfg));
-        sim.schedule_timer(src_id, 0, Time::ZERO);
+        sim.add_source(make(cfg), Time::ZERO);
         sim.run_until(Time::from_secs(secs + 1));
         let sent = sim.link(link).stats().offered;
         let received = rx.borrow().packets;
@@ -391,14 +460,14 @@ mod tests {
     #[test]
     fn cbr_emits_at_the_configured_rate() {
         // 1 Mbps of 1000-byte packets for 10 s = 1250 packets.
-        let (sent, received) = run_source(|cfg| Box::new(CbrSource::new(cfg)), 10);
+        let (sent, received) = run_source(|cfg| CbrSource::new(cfg).into(), 10);
         assert_eq!(sent, 1250);
         assert_eq!(received, sent, "fat link loses nothing");
     }
 
     #[test]
     fn poisson_averages_the_configured_rate() {
-        let (sent, _) = run_source(|cfg| Box::new(PoissonSource::new(cfg)), 100);
+        let (sent, _) = run_source(|cfg| PoissonSource::new(cfg).into(), 100);
         let expected = 12_500.0;
         let err = (sent as f64 - expected).abs() / expected;
         assert!(err < 0.05, "sent {sent}, expected ≈{expected}");
@@ -407,7 +476,7 @@ mod tests {
     #[test]
     fn pareto_on_off_averages_the_configured_rate() {
         let (sent, _) = run_source(
-            |cfg| Box::new(ParetoOnOffSource::new(cfg, 0.3, 1.9, 0.5)),
+            |cfg| ParetoOnOffSource::new(cfg, 0.3, 1.9, 0.5).into(),
             1200,
         );
         let expected = 150_000.0;
@@ -430,8 +499,7 @@ mod tests {
             schedule,
             stop: Time::from_secs(20),
         };
-        let src_id = sim.add_endpoint(Box::new(CbrSource::new(cfg)));
-        sim.schedule_timer(src_id, 0, Time::ZERO);
+        sim.add_source(CbrSource::new(cfg), Time::ZERO);
         sim.run_until(Time::from_secs(10));
         let first_half = sim.link(link).stats().offered;
         sim.run_until(Time::from_secs(20));
@@ -458,8 +526,7 @@ mod tests {
             schedule,
             stop: Time::from_secs(6),
         };
-        let src_id = sim.add_endpoint(Box::new(CbrSource::new(cfg)));
-        sim.schedule_timer(src_id, 0, Time::ZERO);
+        sim.add_source(CbrSource::new(cfg), Time::ZERO);
         sim.run_until(Time::from_secs(7));
         // ~2 s silent out of 6 → roughly 4/6 of the full-rate count.
         let sent = sim.link(link).stats().offered;
@@ -516,8 +583,8 @@ mod tests {
 
     #[test]
     fn sources_stop_at_their_deadline() {
-        let (sent_10, _) = run_source(|cfg| Box::new(CbrSource::new(cfg)), 10);
-        let (sent_20, _) = run_source(|cfg| Box::new(CbrSource::new(cfg)), 20);
+        let (sent_10, _) = run_source(|cfg| CbrSource::new(cfg).into(), 10);
+        let (sent_20, _) = run_source(|cfg| CbrSource::new(cfg).into(), 20);
         assert!((sent_20 as f64 / sent_10 as f64 - 2.0).abs() < 0.01);
     }
 }

@@ -14,7 +14,7 @@ use std::rc::Rc;
 use tputpred_netsim::link::LinkConfig;
 use tputpred_netsim::random::exponential;
 use tputpred_netsim::sources::{
-    CbrSource, ParetoOnOffSource, PoissonSource, RxHandle, Sink, SourceConfig,
+    CbrSource, ParetoOnOffSource, PoissonSource, RxHandle, Sink, Source, SourceConfig,
 };
 use tputpred_netsim::{
     Ctx, Endpoint, EndpointId, EngineCounters, LinkId, LinkStats, Packet, Payload, RateSchedule,
@@ -124,19 +124,13 @@ fn build(shape: &Shape, keep_handles: bool) -> World {
     };
     let (l1_only, both) = (Route::direct(l1), Route::new(&[l1, l2]));
     let (cbr, poisson, pareto) = shape.loads;
-    let sources: [Box<dyn Endpoint>; 3] = [
-        Box::new(CbrSource::new(cfg(l1_only, near, cbr))),
-        Box::new(PoissonSource::new(cfg(l1_only, near, poisson))),
-        Box::new(ParetoOnOffSource::new(
-            cfg(both, far, pareto),
-            0.5,
-            1.6,
-            0.05,
-        )),
+    let sources: [Source; 3] = [
+        CbrSource::new(cfg(l1_only, near, cbr)).into(),
+        PoissonSource::new(cfg(l1_only, near, poisson)).into(),
+        ParetoOnOffSource::new(cfg(both, far, pareto), 0.5, 1.6, 0.05).into(),
     ];
     for src in sources {
-        let id = sim.add_endpoint(src);
-        sim.schedule_timer(id, 0, Time::ZERO);
+        sim.add_source(src, Time::ZERO);
     }
     let received = Log::default();
     let recorder = sim.add_endpoint(Box::new(Recorder {

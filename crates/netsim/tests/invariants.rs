@@ -5,7 +5,9 @@ use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
 use tputpred_netsim::link::LinkConfig;
-use tputpred_netsim::sources::{CbrSource, ParetoOnOffSource, PoissonSource, Sink, SourceConfig};
+use tputpred_netsim::sources::{
+    CbrSource, ParetoOnOffSource, PoissonSource, Sink, Source, SourceConfig,
+};
 use tputpred_netsim::{Ctx, Endpoint, Packet, Payload, RateSchedule, Route, Simulator, Time};
 
 /// Runs `secs` of a single-link world with the given source mix; returns
@@ -31,13 +33,12 @@ fn run_world(
         schedule: RateSchedule::constant(1.0),
         stop: Time::from_secs(secs),
     };
-    let src: Box<dyn Endpoint> = match kind % 3 {
-        0 => Box::new(CbrSource::new(cfg)),
-        1 => Box::new(PoissonSource::new(cfg)),
-        _ => Box::new(ParetoOnOffSource::new(cfg, 0.5, 1.7, 0.3)),
+    let src: Source = match kind % 3 {
+        0 => CbrSource::new(cfg).into(),
+        1 => PoissonSource::new(cfg).into(),
+        _ => ParetoOnOffSource::new(cfg, 0.5, 1.7, 0.3).into(),
     };
-    let src_id = sim.add_endpoint(src);
-    sim.schedule_timer(src_id, 0, Time::ZERO);
+    sim.add_source(src, Time::ZERO);
     sim.run_until(Time::from_secs(secs));
     // Drain what is still queued/propagating.
     sim.run_to_quiescence();

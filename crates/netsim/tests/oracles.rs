@@ -22,8 +22,8 @@
 //! every arrival took it.
 
 use tputpred_netsim::link::LinkConfig;
-use tputpred_netsim::sources::{CbrSource, PoissonSource, Sink, SourceConfig};
-use tputpred_netsim::{Endpoint, LinkStats, RateSchedule, Route, Simulator, Time};
+use tputpred_netsim::sources::{CbrSource, PoissonSource, Sink, Source, SourceConfig};
+use tputpred_netsim::{LinkStats, RateSchedule, Route, Simulator, Time};
 
 /// Bottleneck rate, bits/s.
 const RATE_BPS: f64 = 10e6;
@@ -43,13 +43,7 @@ struct Run {
 /// (10 ms propagation, `buffer` packets) into a sink nobody observes,
 /// from time zero until the source stops at `stop` and the network
 /// drains.
-fn run(
-    seed: u64,
-    load: f64,
-    buffer: u32,
-    stop: Time,
-    source: fn(SourceConfig) -> Box<dyn Endpoint>,
-) -> Run {
+fn run(seed: u64, load: f64, buffer: u32, stop: Time, source: fn(SourceConfig) -> Source) -> Run {
     let mut sim = Simulator::new(seed);
     let link = sim.add_link(LinkConfig::new(RATE_BPS, Time::from_millis(10), buffer));
     let (sink, _) = Sink::new();
@@ -62,8 +56,7 @@ fn run(
         schedule: RateSchedule::constant(1.0),
         stop,
     });
-    let src = sim.add_endpoint(src);
-    sim.schedule_timer(src, 0, Time::ZERO);
+    sim.add_source(src, Time::ZERO);
     sim.run_to_quiescence();
     Run {
         stats: *sim.link(link).stats(),
@@ -71,12 +64,12 @@ fn run(
     }
 }
 
-fn poisson(cfg: SourceConfig) -> Box<dyn Endpoint> {
-    Box::new(PoissonSource::new(cfg))
+fn poisson(cfg: SourceConfig) -> Source {
+    PoissonSource::new(cfg).into()
 }
 
-fn cbr(cfg: SourceConfig) -> Box<dyn Endpoint> {
-    Box::new(CbrSource::new(cfg))
+fn cbr(cfg: SourceConfig) -> Source {
+    CbrSource::new(cfg).into()
 }
 
 /// M/D/1: the link's mean queueing delay matches Pollaczek–Khinchine.

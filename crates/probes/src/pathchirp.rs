@@ -269,8 +269,7 @@ mod tests {
                 schedule: RateSchedule::constant(1.0),
                 stop: Time::MAX,
             });
-            let id = sim.add_endpoint(Box::new(src));
-            sim.schedule_timer(id, 0, Time::ZERO);
+            sim.add_source(src, Time::ZERO);
         }
         let config = PathChirpConfig {
             max_rate: capacity * 1.5,

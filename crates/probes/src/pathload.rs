@@ -472,8 +472,7 @@ mod tests {
                 schedule: RateSchedule::constant(1.0),
                 stop: Time::MAX,
             });
-            let src_id = sim.add_endpoint(Box::new(src));
-            sim.schedule_timer(src_id, 0, Time::ZERO);
+            sim.add_source(src, Time::ZERO);
         }
         // Let the cross traffic reach steady state first.
         let handle = Pathload::deploy(

@@ -270,8 +270,7 @@ mod tests {
                 schedule: RateSchedule::constant(1.0),
                 stop: Time::MAX,
             });
-            let cbr_id = sim.add_endpoint(Box::new(cbr));
-            sim.schedule_timer(cbr_id, 0, Time::ZERO);
+            sim.add_source(cbr, Time::ZERO);
             let (prober, stats) = PingProber::new(
                 Route::direct(fwd),
                 refl_id,

@@ -31,8 +31,7 @@ fn world(seed: u64, capacity: f64, cross: f64, buffer: u32) -> World {
             schedule: RateSchedule::constant(1.0),
             stop: Time::MAX,
         });
-        let id = sim.add_endpoint(Box::new(src));
-        sim.schedule_timer(id, 0, Time::ZERO);
+        sim.add_source(src, Time::ZERO);
     }
     let reflector = Reflector::new(Route::direct(rev));
     let refl = sim.add_endpoint(Box::new(reflector));

@@ -134,15 +134,15 @@ fn pathload_on_cbr_cross_traffic_finds_capacity_minus_load() {
         if cross > 0.0 {
             let (sink, _) = Sink::new();
             let sink = sim.add_endpoint(Box::new(sink));
-            let cbr = sim.add_endpoint(Box::new(CbrSource::new(SourceConfig {
+            let cbr = CbrSource::new(SourceConfig {
                 route: Route::direct(link),
                 dst: sink,
                 packet_size: 1000,
                 base_rate_bps: cross,
                 schedule: RateSchedule::constant(1.0),
                 stop: Time::MAX,
-            })));
-            sim.schedule_timer(cbr, 0, Time::ZERO);
+            });
+            sim.add_source(cbr, Time::ZERO);
         }
         let handle = Pathload::deploy(&mut sim, config, Route::direct(link), Time::ZERO);
         let mut t = Time::ZERO;

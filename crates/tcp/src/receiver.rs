@@ -2,7 +2,9 @@
 
 use crate::flow::{FlowHandle, TcpConfig};
 use std::collections::BTreeMap;
-use tputpred_netsim::{Ctx, Endpoint, EndpointId, Packet, Payload, Route, TcpMeta, Time};
+use tputpred_netsim::{
+    Ctx, Endpoint, EndpointId, Packet, Payload, Route, TcpMeta, Time, TimerSlot,
+};
 
 /// A bulk-transfer TCP receiver.
 ///
@@ -35,9 +37,9 @@ pub struct TcpReceiver {
     /// Echo values for the pending (delayed) ACK.
     pending_echo: Time,
     pending_retx: bool,
-    /// Delayed-ACK timer generation.
-    delack_gen: u64,
-    delack_armed: bool,
+    /// The delayed-ACK timer: armed by the first unacknowledged
+    /// in-order segment, disarmed by every ACK sent.
+    delack: TimerSlot,
 }
 
 impl TcpReceiver {
@@ -53,8 +55,7 @@ impl TcpReceiver {
             unacked: 0,
             pending_echo: Time::ZERO,
             pending_retx: false,
-            delack_gen: 0,
-            delack_armed: false,
+            delack: TimerSlot::new(),
         }
     }
 
@@ -80,9 +81,7 @@ impl TcpReceiver {
             Payload::Tcp(meta),
         );
         self.unacked = 0;
-        // Invalidate any pending delayed-ACK timer.
-        self.delack_gen += 1;
-        self.delack_armed = false;
+        ctx.disarm(&mut self.delack);
     }
 
     fn on_data(&mut self, ctx: &mut Ctx<'_>, meta: TcpMeta) {
@@ -109,10 +108,9 @@ impl TcpReceiver {
                 // full: acknowledge immediately.
                 let (echo, retx) = (self.pending_echo, self.pending_retx);
                 self.send_ack(ctx, echo, retx);
-            } else if !self.delack_armed {
-                self.delack_gen += 1;
-                self.delack_armed = true;
-                ctx.set_timer_after(self.delack_gen, self.config.delack_timeout);
+            } else if !ctx.is_armed(&self.delack) {
+                let at = ctx.now + self.config.delack_timeout;
+                ctx.arm(&mut self.delack, 0, at);
             }
         } else if meta.seq > self.rcv_nxt {
             // Out of order: buffer it, emit a duplicate ACK immediately.
@@ -136,8 +134,9 @@ impl Endpoint for TcpReceiver {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token == self.delack_gen && self.delack_armed && self.unacked > 0 {
+    /// The delayed-ACK timer fired (the receiver's only timer).
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+        if self.unacked > 0 {
             let (echo, retx) = (self.pending_echo, self.pending_retx);
             self.send_ack(ctx, echo, retx);
         }

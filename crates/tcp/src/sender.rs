@@ -2,10 +2,15 @@
 
 use crate::flow::{FlowHandle, TcpConfig, TcpFlavor};
 use crate::rto::RtoEstimator;
-use tputpred_netsim::{Ctx, Endpoint, EndpointId, Packet, Payload, Route, TcpMeta, Time};
+use tputpred_netsim::{
+    Ctx, Endpoint, EndpointId, Packet, Payload, Route, TcpMeta, Time, TimerSlot,
+};
 
 /// Timer token that starts the flow (armed by [`crate::connect`]).
 pub const TOKEN_START: u64 = 0;
+
+/// Timer token of the retransmission timer.
+const TOKEN_RTO: u64 = 1;
 
 /// A bulk-transfer TCP Reno sender.
 ///
@@ -52,10 +57,9 @@ pub struct TcpSender {
     /// below it are partial, at or above it end recovery.
     recover: u64,
     rto: RtoEstimator,
-    /// Generation counter for the retransmission timer: only a firing
-    /// token equal to the current generation is live.
-    rto_gen: u64,
-    rto_armed: bool,
+    /// The retransmission timer: re-armed on every ACK that leaves data
+    /// in flight, disarmed when the flight empties.
+    rto_timer: TimerSlot,
 }
 
 impl TcpSender {
@@ -102,8 +106,7 @@ impl TcpSender {
             in_recovery: false,
             recover: 0,
             rto: RtoEstimator::new(config.min_rto, config.max_rto),
-            rto_gen: 0,
-            rto_armed: false,
+            rto_timer: TimerSlot::new(),
         }
     }
 
@@ -157,7 +160,7 @@ impl TcpSender {
             self.snd_nxt += self.mss();
             self.snd_max = self.snd_max.max(self.snd_nxt);
         }
-        if self.flight() > 0 && !self.rto_armed {
+        if self.flight() > 0 && !ctx.is_armed(&self.rto_timer) {
             self.arm_rto(ctx);
         }
     }
@@ -171,14 +174,8 @@ impl TcpSender {
     }
 
     fn arm_rto(&mut self, ctx: &mut Ctx<'_>) {
-        self.rto_gen += 1;
-        self.rto_armed = true;
-        ctx.set_timer_after(self.rto_gen, self.rto.current());
-    }
-
-    fn disarm_rto(&mut self) {
-        self.rto_gen += 1;
-        self.rto_armed = false;
+        let at = ctx.now + self.rto.current();
+        ctx.arm(&mut self.rto_timer, TOKEN_RTO, at);
     }
 
     /// Multiplicative-decrease target after a loss event.
@@ -241,7 +238,7 @@ impl TcpSender {
             if self.flight() > 0 {
                 self.arm_rto(ctx);
             } else {
-                self.disarm_rto();
+                ctx.disarm(&mut self.rto_timer);
                 if self.is_done(ctx.now) {
                     let mut stats = self.stats.borrow_mut();
                     if !stats.finished {
@@ -275,7 +272,6 @@ impl TcpSender {
 
     fn on_rto(&mut self, ctx: &mut Ctx<'_>) {
         if self.flight() == 0 {
-            self.rto_armed = false;
             return;
         }
         let mss = self.config.mss as f64;
@@ -306,15 +302,14 @@ impl Endpoint for TcpSender {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token == TOKEN_START {
-            if !self.started {
+        match token {
+            TOKEN_START if !self.started => {
                 self.started = true;
                 self.send_available(ctx);
             }
-        } else if token == self.rto_gen && self.rto_armed {
-            self.on_rto(ctx);
+            TOKEN_RTO => self.on_rto(ctx),
+            _ => {}
         }
-        // Stale generations fall through silently.
     }
 }
 

@@ -169,8 +169,7 @@ fn tcp_yields_to_cbr_cross_traffic() {
         schedule: RateSchedule::constant(1.0),
         stop: Time::MAX,
     });
-    let cbr_id = path.sim.add_endpoint(Box::new(cbr));
-    path.sim.schedule_timer(cbr_id, 0, Time::ZERO);
+    path.sim.add_source(cbr, Time::ZERO);
     let stop = Time::from_secs(60);
     let stats = bulk_flow(&mut path, TcpConfig::default(), Time::ZERO, stop);
     path.sim.run_until(stop);
@@ -199,8 +198,7 @@ fn flow_survives_a_total_blackout_via_timeout() {
         schedule,
         stop: Time::MAX,
     });
-    let cbr_id = path.sim.add_endpoint(Box::new(cbr));
-    path.sim.schedule_timer(cbr_id, 0, Time::ZERO);
+    path.sim.add_source(cbr, Time::ZERO);
     let stop = Time::from_secs(30);
     let stats = bulk_flow(&mut path, TcpConfig::default(), Time::ZERO, stop);
     path.sim.run_until(stop);
@@ -385,8 +383,7 @@ fn newreno_repairs_multi_loss_windows_with_fewer_timeouts() {
             schedule,
             stop: Time::MAX,
         });
-        let id = path.sim.add_endpoint(Box::new(src));
-        path.sim.schedule_timer(id, 0, Time::ZERO);
+        path.sim.add_source(src, Time::ZERO);
         let stop = Time::from_secs(26);
         let config = TcpConfig {
             flavor,

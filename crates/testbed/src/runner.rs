@@ -100,8 +100,7 @@ fn build_trace(path: &PathConfig, trace_idx: usize, preset: &Preset) -> TraceWor
             schedule: schedule.clone(),
             stop: trace_len,
         });
-        let id = sim.add_endpoint(Box::new(src));
-        sim.schedule_timer(id, 0, Time::ZERO);
+        sim.add_source(src, Time::ZERO);
     }
     if pareto_rate > 1.0 {
         // The bursty load is split across `pareto_sources` independent
@@ -124,8 +123,7 @@ fn build_trace(path: &PathConfig, trace_idx: usize, preset: &Preset) -> TraceWor
                 1.6, // heavy-tailed on periods
                 cross.mean_on,
             );
-            let id = sim.add_endpoint(Box::new(src));
-            sim.schedule_timer(id, 0, Time::ZERO);
+            sim.add_source(src, Time::ZERO);
         }
     }
     // Elastic cross traffic: persistent TCP flows with a moderate socket
@@ -268,6 +266,8 @@ fn flush_trace_telemetry(world: &TraceWorld, trace_len: Time) {
     obs::add("netsim.packets_delivered", c.packets_delivered);
     obs::add("netsim.endpoint_calls", c.endpoint_calls);
     obs::add("netsim.timer_clamps", c.timer_clamps);
+    obs::add("netsim.timer_pushes", c.timer_pushes);
+    obs::add("netsim.elided_timers", c.elided_timers);
     let fwd = world.sim.link(world.fwd).stats();
     obs::add("netsim.fwd.packets_out", fwd.packets_out);
     obs::add("netsim.fwd.bytes_out", fwd.bytes_out);

@@ -49,8 +49,7 @@ fn main() {
         1.6,
         0.4,
     );
-    let src_id = sim.add_endpoint(Box::new(src));
-    sim.schedule_timer(src_id, 0, Time::ZERO);
+    sim.add_source(src, Time::ZERO);
     // Mid-experiment load surge: an extra smooth 5 Mbps appears for a few
     // minutes. The avail-bw drops to ~7 Mbps — still above the
     // window-limited rate, but the saturating strategy's share swings.
@@ -66,8 +65,7 @@ fn main() {
         ),
         stop: Time::MAX,
     });
-    let surge_id = sim.add_endpoint(Box::new(surge));
-    sim.schedule_timer(surge_id, 0, Time::ZERO);
+    sim.add_source(surge, Time::ZERO);
 
     // The job: 6 MB every minute, i.e. a sustained ≥ 2.4 Mbps during a
     // 20-second transfer window.

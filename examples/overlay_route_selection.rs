@@ -68,8 +68,7 @@ fn build_path(
             schedule: RateSchedule::constant(1.0),
             stop: Time::MAX,
         });
-        let id = sim.add_endpoint(Box::new(src));
-        sim.schedule_timer(id, 0, Time::ZERO);
+        sim.add_source(src, Time::ZERO);
     }
     if bursty_load > 0.0 {
         let src = ParetoOnOffSource::new(
@@ -85,8 +84,7 @@ fn build_path(
             1.6,
             0.4,
         );
-        let id = sim.add_endpoint(Box::new(src));
-        sim.schedule_timer(id, 0, Time::ZERO);
+        sim.add_source(src, Time::ZERO);
     }
     let reflector = Reflector::new(Route::direct(rev));
     let refl_id = sim.add_endpoint(Box::new(reflector));

@@ -62,8 +62,7 @@ fn mirror(
             schedule,
             stop: Time::MAX,
         });
-        let id = sim.add_endpoint(Box::new(src));
-        sim.schedule_timer(id, 0, Time::ZERO);
+        sim.add_source(src, Time::ZERO);
     }
     Mirror {
         name,

@@ -42,8 +42,7 @@ fn main() {
         schedule: RateSchedule::constant(1.0),
         stop: Time::MAX,
     });
-    let cross_id = sim.add_endpoint(Box::new(cross));
-    sim.schedule_timer(cross_id, 0, Time::ZERO);
+    sim.add_source(cross, Time::ZERO);
 
     // ── 2. Non-intrusive measurements ─────────────────────────────────
     let reflector = Reflector::new(Route::direct(rev));
