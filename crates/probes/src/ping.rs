@@ -180,7 +180,7 @@ impl Endpoint for PingProber {
             if meta.is_reply {
                 let mut stats = self.stats.borrow_mut();
                 if let Some(rec) = stats.records.get_mut(meta.seq as usize) {
-                    debug_assert_eq!(rec.sent_at, meta.sent_at, "echo timestamp mismatch");
+                    assert_eq!(rec.sent_at, meta.sent_at, "echo timestamp mismatch");
                     rec.rtt = Some(ctx.now.saturating_sub(meta.sent_at));
                 }
             }

@@ -554,14 +554,18 @@ fn header_trusted(path: &FsPath, expected_fingerprint: &str) -> io::Result<bool>
     Ok(head == prefix.as_bytes())
 }
 
-/// Loads one shard envelope.
+/// Loads one shard envelope. The bytes of every shard that decodes are
+/// counted in `data.bytes_decoded` (observation-only).
 fn load_shard(path: &FsPath) -> io::Result<ShardFile> {
     let json = fs::read_to_string(path)?;
-    serde_json::from_str(&json).map_err(io::Error::other)
+    let shard = serde_json::from_str(&json).map_err(io::Error::other)?;
+    obs::add("data.bytes_decoded", json.len() as u64);
+    Ok(shard)
 }
 
 /// Saves one shard atomically, embedding the current behavior hash and
-/// the (preset, config) fingerprint.
+/// the (preset, config) fingerprint. Its bytes are counted in
+/// `data.bytes_encoded` (observation-only).
 fn save_shard(dir: &FsPath, id: usize, preset: &Preset, data: &PathData) -> io::Result<()> {
     let shard = ShardFile {
         behavior_hash: BEHAVIOR_HASH.to_string(),
@@ -569,6 +573,7 @@ fn save_shard(dir: &FsPath, id: usize, preset: &Preset, data: &PathData) -> io::
         path: data.clone(),
     };
     let json = serde_json::to_string(&shard).map_err(io::Error::other)?;
+    obs::add("data.bytes_encoded", json.len() as u64);
     write_atomic(&dir.join(shard_file_name(id)), &json)
 }
 

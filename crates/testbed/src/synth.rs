@@ -241,7 +241,7 @@ pub fn synth_catalog(n: usize, seed: u64) -> Vec<PathConfig> {
             paths.push(synth_path(&mut rng, id, idx_in_class, spec));
         }
     }
-    debug_assert_eq!(paths.len(), n);
+    assert_eq!(paths.len(), n, "class counts must sum to the catalog size");
     paths
 }
 
