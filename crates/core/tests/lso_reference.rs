@@ -372,3 +372,198 @@ fn inputs_exercise_shifts_outliers_evictions_and_ties() {
         "{counts}"
     );
 }
+
+// ---- Edges of the classification bounds and the split stacks ------------
+
+/// Runs `Detector`, `scan_series` and `Lso` over MA(5) and HW(0.8, 0.2)
+/// beside the reference on `series` and asserts that every event,
+/// window, update, outlier list and forecast bit agrees. Returns the
+/// largest window the reference held.
+fn assert_equivalent(series: &[f64], cfg: LsoConfig) -> usize {
+    let mut det = Detector::new(cfg);
+    let mut reference = RefDetector::new(cfg);
+    let mut ma = Lso::with_config(MovingAverage::new(5), cfg);
+    let mut ma_ref = RefLso::with_config(MovingAverage::new(5), cfg);
+    let mut hw = Lso::with_config(HoltWinters::new(0.8, 0.2), cfg);
+    let mut hw_ref = RefLso::with_config(HoltWinters::new(0.8, 0.2), cfg);
+    let mut widest = 0;
+    for (i, &x) in series.iter().enumerate() {
+        assert_eq!(det.push(x), reference.push(x), "event at sample {i}");
+        assert_eq!(
+            bits(det.window()),
+            bits(&reference.window),
+            "window after sample {i}"
+        );
+        widest = widest.max(reference.window.len());
+        assert_eq!(ma.update(x), ma_ref.update(x), "5-MA-LSO update at {i}");
+        assert_eq!(
+            forecast_bits(&ma),
+            forecast_bits(&ma_ref),
+            "5-MA-LSO at {i}"
+        );
+        assert_eq!(hw.update(x), hw_ref.update(x), "0.8-HW-LSO update at {i}");
+        assert_eq!(
+            forecast_bits(&hw),
+            forecast_bits(&hw_ref),
+            "0.8-HW-LSO at {i}"
+        );
+    }
+    assert_eq!(ma.outlier_indices(), &ma_ref.all_outliers[..]);
+    assert_eq!(hw.outlier_indices(), &hw_ref.all_outliers[..]);
+    assert_eq!(scan_series(series, cfg), ref_scan_series(series, cfg));
+    widest
+}
+
+/// The default thresholds, a window cap that evicts early, and tight
+/// thresholds under which nearly every sample deviates.
+fn edge_configs() -> [LsoConfig; 3] {
+    let default = LsoConfig::default();
+    [
+        default,
+        LsoConfig {
+            max_window: 8,
+            ..default
+        },
+        LsoConfig {
+            gamma: 0.05,
+            psi: 0.05,
+            ..default
+        },
+    ]
+}
+
+/// A reproducible stream of uniforms in [0, 1) (64-bit LCG).
+fn uniforms(seed: u64) -> impl Iterator<Item = f64> {
+    let mut state = seed;
+    std::iter::repeat_with(move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    })
+}
+
+#[test]
+fn long_quiet_series_fill_and_evict_the_default_window() {
+    // ±10 % noise never shifts, so the window reaches the cap of 256 and
+    // every later push evicts; spikes and dips keep outliers coming.
+    for seed in 1..=3 {
+        let series: Vec<f64> = uniforms(seed)
+            .take(330)
+            .enumerate()
+            .map(|(i, u)| match i % 37 {
+                11 => 3e6 * (1.0 + u),
+                29 => 2e5 * (1.0 + u),
+                _ => 1e6 * (0.9 + 0.2 * u),
+            })
+            .collect();
+        let widest = assert_equivalent(&series, LsoConfig::default());
+        assert_eq!(widest, 256, "seed {seed}: the window must reach its cap");
+        for cfg in edge_configs() {
+            assert_equivalent(&series, cfg);
+        }
+    }
+}
+
+#[test]
+fn plateaus_and_signed_zeros_agree() {
+    let plateaus: Vec<f64> = [
+        vec![5.0; 20],
+        vec![7.0; 3],
+        vec![5.0; 10],
+        vec![9.0; 2],
+        vec![5.0; 4],
+        vec![20.0; 12],
+        vec![20.0, 5.0, 20.0, 20.0],
+        vec![3.0; 9],
+    ]
+    .concat();
+    // Medians of ±0 put every nonzero sample past ψ; ±0 compare equal but
+    // must be told apart by their bits when one leaves the window.
+    let zeros = [
+        0.0, -0.0, 0.0, 0.0, -0.0, 1.0, -0.0, 0.0, 2.0, 2.0, 2.0, -0.0, 0.0, 0.0, 5.0, 0.0, -0.0,
+        -0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, -0.0, 0.0,
+    ];
+    for cfg in edge_configs() {
+        assert_equivalent(&plateaus, cfg);
+        assert_equivalent(&zeros, cfg);
+        assert_equivalent(&[plateaus.as_slice(), &zeros, &plateaus].concat(), cfg);
+    }
+}
+
+#[test]
+fn monotone_ramps_where_every_split_separates() {
+    let ramps: [Vec<f64>; 5] = [
+        // Too shallow for γ: every split stays a candidate, none fires.
+        (0..300).map(|i| 1e6 + 100.0 * f64::from(i)).collect(),
+        (0..300).map(|i| 1e6 - 100.0 * f64::from(i)).collect(),
+        // Steep enough to fire shift after shift.
+        (0..200).map(|i| 1e3 * 1.05f64.powi(i)).collect(),
+        (0..200).map(|i| 1e9 * 0.95f64.powi(i)).collect(),
+        // Up, then down: the rising stack empties in one append.
+        (0..150)
+            .map(|i| 1e6 + 500.0 * f64::from(75 - (i - 75i32).abs()))
+            .collect(),
+    ];
+    for series in &ramps {
+        for cfg in edge_configs() {
+            assert_equivalent(series, cfg);
+        }
+    }
+}
+
+#[test]
+fn spike_trains_and_back_to_back_shifts() {
+    let trains: [Vec<f64>; 4] = [
+        (0..120)
+            .map(|i| if i % 2 == 1 { 30.0 } else { 10.0 })
+            .collect(),
+        (0..120)
+            .map(|i| if i % 4 >= 2 { 30.0 } else { 10.0 })
+            .collect(),
+        (0..120)
+            .map(|i| match i % 5 {
+                2 => 40.0,
+                4 => 2.0,
+                _ => 10.0,
+            })
+            .collect(),
+        [10.0, 20.0, 40.0, 5.0, 80.0, 80.5, 1.0, 10.0, 100.0, 3.0]
+            .iter()
+            .flat_map(|&level| [level, level * 1.01, level * 0.99])
+            .collect(),
+    ];
+    for series in &trains {
+        for cfg in edge_configs() {
+            assert_equivalent(series, cfg);
+        }
+    }
+}
+
+#[test]
+fn one_sample_enters_quarantine_as_another_leaves_it() {
+    // At the fourth sample the median is 1.05 and 0.9 deviates; at the
+    // fifth it is 1.0, so 0.9 is an inlier again and 1.15 deviates. The
+    // inlier count is unchanged while the inliers are not: the wrapper
+    // must not take the push for a plain extension of what it fed.
+    let series = [1.1e6, 1.0e6, 0.9e6, 1.15e6, 1.0e6, 1.05e6, 0.95e6];
+    let cfg = LsoConfig {
+        psi: 0.12,
+        ..LsoConfig::default()
+    };
+    assert_equivalent(&series, cfg);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The `paper` preset's 150 epochs per trace, through both wrappers.
+    #[test]
+    fn paper_length_traces_match_the_reference(
+        ops in prop::collection::vec((0u8..16, 0u8..6, 0.0..1.0f64), 170..200),
+        cfg in config(),
+    ) {
+        let series: Vec<f64> = build_series(ops).into_iter().cycle().take(150).collect();
+        assert_equivalent(&series, cfg);
+    }
+}

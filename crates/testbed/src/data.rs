@@ -474,6 +474,26 @@ struct ShardFile {
     path: PathData,
 }
 
+/// A [`ShardFile`] that borrows its payload, for writing: it writes the
+/// same fields in the same order as `ShardFile`'s derived serializer, so
+/// the same bytes, without copying the path's data first.
+struct ShardRef<'a> {
+    config_fingerprint: &'a str,
+    path: &'a PathData,
+}
+
+impl Serialize for ShardRef<'_> {
+    fn serialize(&self, out: &mut String) {
+        out.push_str("{\"behavior_hash\":");
+        BEHAVIOR_HASH.serialize(out);
+        out.push_str(",\"config_fingerprint\":");
+        self.config_fingerprint.serialize(out);
+        out.push_str(",\"path\":");
+        self.path.serialize(out);
+        out.push('}');
+    }
+}
+
 /// One manifest line: which shard file covers which catalog path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ManifestEntry {
@@ -567,10 +587,9 @@ fn load_shard(path: &FsPath) -> io::Result<ShardFile> {
 /// the (preset, config) fingerprint. Its bytes are counted in
 /// `data.bytes_encoded` (observation-only).
 fn save_shard(dir: &FsPath, id: usize, preset: &Preset, data: &PathData) -> io::Result<()> {
-    let shard = ShardFile {
-        behavior_hash: BEHAVIOR_HASH.to_string(),
-        config_fingerprint: shard_fingerprint(preset, &data.config),
-        path: data.clone(),
+    let shard = ShardRef {
+        config_fingerprint: &shard_fingerprint(preset, &data.config),
+        path: data,
     };
     let json = serde_json::to_string(&shard).map_err(io::Error::other)?;
     obs::add("data.bytes_encoded", json.len() as u64);
@@ -973,6 +992,15 @@ mod tests {
             path: path_data(&catalog[0], 1e6),
         };
         let json = serde_json::to_string(&shard).unwrap();
+        let borrowed = ShardRef {
+            config_fingerprint: &fingerprint,
+            path: &shard.path,
+        };
+        assert_eq!(
+            serde_json::to_string(&borrowed).unwrap(),
+            json,
+            "the borrowing envelope writes the owned one's bytes"
+        );
         let prefix = trusted_prefix(&fingerprint);
         assert_eq!(prefix.len(), 83);
         assert!(
