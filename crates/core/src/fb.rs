@@ -198,8 +198,8 @@ impl FbPredictor {
         let out = self.try_predict_inner(est);
         // Observation-only tallies; no-ops unless profiling is enabled.
         match &out {
-            Ok(_) => tputpred_obs::add("core.fb.predictions", 1),
-            Err(_) => tputpred_obs::add("core.fb.refusals", 1),
+            Ok(_) => tputpred_obs::counter!("core.fb.predictions").add(1),
+            Err(_) => tputpred_obs::counter!("core.fb.refusals").add(1),
         }
         out
     }

@@ -199,42 +199,12 @@ fn remove_sorted(sorted: &mut Vec<f64>, v: f64) {
     }
 }
 
-/// The detector's entries in the work ledger (observation-only,
-/// DESIGN.md §11): `core.lso.pushes`, and `core.lso.full_passes` for the
-/// pushes that ran a pass over the whole window. They are tallied here
-/// and handed to `obs` when the detector is reset or dropped, so a push
-/// pays no registry lookup. A clone starts from zero, so every push is
-/// handed over once.
-#[derive(Debug, Default)]
-struct Ledger {
-    pushes: u64,
-    full_passes: u64,
-}
-
-impl Ledger {
-    fn count(&mut self, full_pass: bool) {
-        self.pushes += 1;
-        self.full_passes += u64::from(full_pass);
-    }
-
-    fn flush(&mut self) {
-        obs::add("core.lso.pushes", self.pushes);
-        obs::add("core.lso.full_passes", self.full_passes);
-        self.pushes = 0;
-        self.full_passes = 0;
-    }
-}
-
-impl Clone for Ledger {
-    fn clone(&self) -> Self {
-        Ledger::default()
-    }
-}
-
-impl Drop for Ledger {
-    fn drop(&mut self) {
-        self.flush();
-    }
+/// Counts one push in the work ledger (observation-only, DESIGN.md
+/// §11): `core.lso.pushes`, and `core.lso.full_passes` when the push ran
+/// a pass over the whole window.
+fn count_push(full_pass: bool) {
+    obs::counter!("core.lso.pushes").add(1);
+    obs::counter!("core.lso.full_passes").add(u64::from(full_pass));
 }
 
 /// A split of the window that separates it: every sample before window
@@ -330,7 +300,6 @@ pub struct Detector {
     appended: bool,
     /// Whether the last push ran a pass over the whole window.
     full_pass: bool,
-    ledger: Ledger,
     next_index: usize,
 }
 
@@ -359,7 +328,6 @@ impl Detector {
             deviants: 0,
             appended: false,
             full_pass: false,
-            ledger: Ledger::default(),
             next_index: 0,
         }
     }
@@ -399,7 +367,6 @@ impl Detector {
         self.splits.clear();
         self.deviants = 0;
         self.next_index = 0;
-        self.ledger.flush();
     }
 
     /// Ingests the next sample and reports any detections.
@@ -410,7 +377,7 @@ impl Detector {
     /// admitting one would silently corrupt every later median.
     pub fn push(&mut self, x: f64) -> DetectorEvent {
         let ev = self.ingest(x);
-        self.ledger.count(self.full_pass);
+        count_push(self.full_pass);
         ev
     }
 
@@ -768,7 +735,7 @@ impl<P: Predictor> Predictor for Lso<P> {
         // re-synced each time.
         let rebuilt = self.sync_inner();
         let full_pass = self.detector.full_pass || rebuilt;
-        self.detector.ledger.count(full_pass);
+        count_push(full_pass);
         let retained = self.detector.window().len();
         match ev.level_shift {
             Some(start) => Update::LevelShift { start, retained },

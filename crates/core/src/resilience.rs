@@ -153,15 +153,15 @@ impl<P: Predictor, Q: Predictor> Predictor for Fallback<P, Q> {
     fn try_predict(&self, features: &EpochFeatures) -> Result<f64, PredictError> {
         match self.try_predict_tiered(features) {
             Ok((forecast, FallbackTier::Primary)) => {
-                obs::add("core.resilience.fallback.primary", 1);
+                obs::counter!("core.resilience.fallback.primary").add(1);
                 Ok(forecast)
             }
             Ok((forecast, FallbackTier::Fallback)) => {
-                obs::add("core.resilience.fallback.fallback", 1);
+                obs::counter!("core.resilience.fallback.fallback").add(1);
                 Ok(forecast)
             }
             Err(e) => {
-                obs::add("core.resilience.fallback.refused", 1);
+                obs::counter!("core.resilience.fallback.refused").add(1);
                 Err(e)
             }
         }
@@ -252,7 +252,7 @@ impl<P: Predictor> Predictor for Staleness<P> {
     fn try_predict(&self, features: &EpochFeatures) -> Result<f64, PredictError> {
         match self.age {
             Some(age) if age >= self.max_age => {
-                obs::add("core.resilience.staleness.refusals", 1);
+                obs::counter!("core.resilience.staleness.refusals").add(1);
                 Err(PredictError::Stale)
             }
             _ => self.inner.try_predict(features),
@@ -362,7 +362,7 @@ impl<P: Predictor> CircuitBreaker<P> {
                     if self.consecutive_refusals >= self.trip_after {
                         self.state = BreakerState::Open;
                         self.cooldown_left = self.cooldown;
-                        obs::add("core.resilience.breaker.opened", 1);
+                        obs::counter!("core.resilience.breaker.opened").add(1);
                     }
                 }
             }
@@ -370,18 +370,18 @@ impl<P: Predictor> CircuitBreaker<P> {
                 self.cooldown_left = self.cooldown_left.saturating_sub(1);
                 if self.cooldown_left == 0 {
                     self.state = BreakerState::HalfOpen;
-                    obs::add("core.resilience.breaker.half_open", 1);
+                    obs::counter!("core.resilience.breaker.half_open").add(1);
                 }
             }
             BreakerState::HalfOpen => {
                 if answered {
                     self.state = BreakerState::Closed;
                     self.consecutive_refusals = 0;
-                    obs::add("core.resilience.breaker.closed", 1);
+                    obs::counter!("core.resilience.breaker.closed").add(1);
                 } else {
                     self.state = BreakerState::Open;
                     self.cooldown_left = self.cooldown;
-                    obs::add("core.resilience.breaker.reopened", 1);
+                    obs::counter!("core.resilience.breaker.reopened").add(1);
                 }
             }
         }
@@ -392,7 +392,7 @@ impl<P: Predictor> Predictor for CircuitBreaker<P> {
     // lint:hot-path
     fn try_predict(&self, features: &EpochFeatures) -> Result<f64, PredictError> {
         if self.state == BreakerState::Open {
-            obs::add("core.resilience.breaker.open_refusals", 1);
+            obs::counter!("core.resilience.breaker.open_refusals").add(1);
             return Err(PredictError::CircuitOpen);
         }
         self.inner.try_predict(features)

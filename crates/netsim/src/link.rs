@@ -142,15 +142,6 @@ impl LinkStats {
             self.busy.as_secs_f64() / elapsed.as_secs_f64()
         }
     }
-
-    /// Fraction of offered packets that were dropped.
-    pub fn drop_rate(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.drops as f64 / self.offered as f64
-        }
-    }
 }
 
 /// A queued packet with its enqueue timestamp (for queue-delay stats).
@@ -408,7 +399,6 @@ mod tests {
         assert_eq!(l.offer(pkt(41), Time::ZERO), Offer::Dropped);
         assert_eq!(l.stats().drops, 1);
         assert_eq!(l.stats().offered, 3);
-        assert!((l.stats().drop_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! This crate is the one place in the workspace that may read the wall
 //! clock. The simulation crates (`netsim`, `tcp`, `probes`, `testbed`,
 //! `core`) are scanned by the `nondeterminism` xtask rule and must not
-//! name `Instant`/`SystemTime`; they call the name-based API here
-//! (`obs::add`, `obs::time_scope`, ...) instead, which keeps every
+//! name `Instant`/`SystemTime`; they count and time through the handles
+//! here ([`counter!`], [`timer!`], ...) instead, which keeps every
 //! wall-clock read outside simulation state.
 //!
 //! # Determinism contract
@@ -23,23 +23,36 @@
 //!
 //! # Instruments
 //!
-//! * [`add`] — monotonic `u64` counters (events dispatched, drops, ...)
-//! * [`gauge_set`] — last-write-wins `f64` gauges (worker count, ...)
-//! * [`record`] — `f64` sample distributions (count/total/min/max)
-//! * [`time_scope`] / [`TimeScope`] — wall-clock timing scopes that
-//!   accumulate nanosecond durations, reported in seconds
+//! Each instrument is a handle, normally a `static` declared at its call
+//! site by a macro that expands to a `&'static` handle:
+//!
+//! * [`counter!`] → [`Counter::add`] — monotonic `u64` counters (events
+//!   dispatched, drops, ...)
+//! * [`gauge!`] → [`Gauge::set`] — last-write-wins `f64` gauges (worker
+//!   count, ...)
+//! * [`timer!`] → [`Timer::start`] — wall-clock timing scopes that
+//!   accumulate nanosecond durations, reported in seconds;
+//!   [`Timer::named`] builds one whose name is known only at run time
+//!
+//! A handle looks its name up once, on its first record while telemetry
+//! is enabled, and keeps the cell; after that, a disabled handle costs
+//! one relaxed load and an enabled one a relaxed atomic operation. A
+//! name is listed in [`snapshot`] from that first record on (a counter's
+//! first non-zero add), and [`reset`] zeroes it without unlisting it.
+//! Handles that share a name share one cell.
 //!
 //! All instruments are no-ops while telemetry is disabled (the
 //! default); enable with [`set_enabled`] and harvest with [`snapshot`].
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 pub mod report;
 
-pub use report::{CounterEntry, DistEntry, GaugeEntry, TelemetryReport, TimerEntry};
+pub use report::{CounterEntry, GaugeEntry, TelemetryReport, TimerEntry};
 
 /// A monotonic counter cell. Lock-free; increments are relaxed atomic
 /// adds, so contended workers never serialize on telemetry.
@@ -48,40 +61,10 @@ struct CounterCell {
     count: AtomicU64,
 }
 
-/// Last-write-wins gauge storing `f64` bits.
-#[derive(Debug)]
+/// Last-write-wins gauge storing `f64` bits (0 is `0.0`).
+#[derive(Debug, Default)]
 struct GaugeCell {
     bits: AtomicU64,
-}
-
-impl Default for GaugeCell {
-    fn default() -> Self {
-        GaugeCell {
-            bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-}
-
-/// Sample distribution: count, sum, min, max over `f64` samples.
-/// Min/max use compare-exchange loops with float comparison, so
-/// negative samples order correctly too.
-#[derive(Debug)]
-struct DistCell {
-    count: AtomicU64,
-    total_bits: AtomicU64,
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
-}
-
-impl Default for DistCell {
-    fn default() -> Self {
-        DistCell {
-            count: AtomicU64::new(0),
-            total_bits: AtomicU64::new(0f64.to_bits()),
-            min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-        }
-    }
 }
 
 /// Wall-clock timer accumulator in nanoseconds.
@@ -93,47 +76,157 @@ struct TimerCell {
     max_ns: AtomicU64,
 }
 
-/// The process-wide instrument registry. Cells are interned by name and
+/// The process-wide instrument registry: cells interned by name, which
 /// live for the process lifetime; `reset` zeroes them in place so that
-/// concurrent writers never observe a dangling cell.
-#[derive(Debug, Default)]
-struct Registry {
-    enabled: AtomicBool,
-    counters: Mutex<BTreeMap<String, Arc<CounterCell>>>,
-    gauges: Mutex<BTreeMap<String, Arc<GaugeCell>>>,
-    dists: Mutex<BTreeMap<String, Arc<DistCell>>>,
-    timers: Mutex<BTreeMap<String, Arc<TimerCell>>>,
-}
+/// handles never observe a dangling cell.
+type Cells<C> = Mutex<BTreeMap<String, Arc<C>>>;
 
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::default)
-}
+static ENABLED: AtomicBool = AtomicBool::new(false);
+static COUNTERS: Cells<CounterCell> = Mutex::new(BTreeMap::new());
+static GAUGES: Cells<GaugeCell> = Mutex::new(BTreeMap::new());
+static TIMERS: Cells<TimerCell> = Mutex::new(BTreeMap::new());
 
-/// Interns a cell by name. Poisoned-mutex recovery: telemetry must
-/// never abort the pipeline, so a poisoned lock degrades to the inner
-/// guard (the maps hold only interned `Arc`s, which cannot be left in a
-/// torn state by a panicking writer).
-fn intern<C: Default>(map: &Mutex<BTreeMap<String, Arc<C>>>, name: &str) -> Arc<C> {
-    let mut guard = match map.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    if let Some(cell) = guard.get(name) {
-        return Arc::clone(cell);
-    }
-    let cell = Arc::new(C::default());
-    guard.insert(name.to_string(), Arc::clone(&cell));
-    cell
-}
-
-fn locked<C>(
-    map: &Mutex<BTreeMap<String, Arc<C>>>,
-) -> std::sync::MutexGuard<'_, BTreeMap<String, Arc<C>>> {
+/// Locks a cell map. Poisoned-mutex recovery: telemetry must never
+/// abort the pipeline, so a poisoned lock degrades to the inner guard
+/// (the maps hold only interned `Arc`s, which cannot be left in a torn
+/// state by a panicking writer).
+fn locked<C>(map: &Cells<C>) -> MutexGuard<'_, BTreeMap<String, Arc<C>>> {
     match map.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
+}
+
+/// A name and the cell it resolves to, once.
+#[derive(Debug)]
+struct Slot<C> {
+    name: Cow<'static, str>,
+    cell: OnceLock<Arc<C>>,
+}
+
+impl<C> Slot<C> {
+    const fn new(name: Cow<'static, str>) -> Self {
+        Slot {
+            name,
+            cell: OnceLock::new(),
+        }
+    }
+}
+
+impl<C: Default> Slot<C> {
+    /// The interned cell for this slot's name, registering it on first
+    /// use.
+    fn cell(&self, map: &Cells<C>) -> &C {
+        self.cell
+            .get_or_init(|| Arc::clone(locked(map).entry(self.name.to_string()).or_default()))
+    }
+}
+
+/// A monotonic `u64` counter; declare with [`counter!`].
+#[derive(Debug)]
+pub struct Counter(Slot<CounterCell>);
+
+impl Counter {
+    /// A counter named `name`, resolved on its first non-zero add.
+    pub const fn new(name: &'static str) -> Self {
+        Counter(Slot::new(Cow::Borrowed(name)))
+    }
+
+    /// Adds `n`. No-op while disabled or when `n` is 0.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        if n == 0 || !enabled() {
+            return;
+        }
+        self.0.cell(&COUNTERS).count.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+/// A last-write-wins `f64` gauge; declare with [`gauge!`].
+#[derive(Debug)]
+pub struct Gauge(Slot<GaugeCell>);
+
+impl Gauge {
+    /// A gauge named `name`, resolved on its first set.
+    pub const fn new(name: &'static str) -> Self {
+        Gauge(Slot::new(Cow::Borrowed(name)))
+    }
+
+    /// Sets the gauge to `value`. No-op while disabled.
+    #[inline]
+    pub fn set(&self, value: f64) {
+        if !enabled() {
+            return;
+        }
+        self.0
+            .cell(&GAUGES)
+            .bits
+            .store(value.to_bits(), Ordering::Relaxed);
+    }
+}
+
+/// A wall-clock timer; declare with [`timer!`], or build one named at
+/// run time with [`Timer::named`].
+#[derive(Debug)]
+pub struct Timer(Slot<TimerCell>);
+
+impl Timer {
+    /// A timer named `name`, resolved on its first start.
+    pub const fn new(name: &'static str) -> Self {
+        Timer(Slot::new(Cow::Borrowed(name)))
+    }
+
+    /// A timer whose name is known only at run time. It resolves like a
+    /// static one, so build it only while [`enabled`] to skip the name's
+    /// allocation too.
+    pub fn named(name: String) -> Self {
+        Timer(Slot::new(Cow::Owned(name)))
+    }
+
+    /// Starts a timing scope. While telemetry is disabled this returns
+    /// an inert scope and never reads the clock.
+    #[inline]
+    #[must_use = "a TimeScope records on drop; binding it to _ drops immediately"]
+    pub fn start(&self) -> TimeScope<'_> {
+        if !enabled() {
+            return TimeScope { live: None };
+        }
+        TimeScope {
+            live: Some((self.0.cell(&TIMERS), Instant::now())),
+        }
+    }
+}
+
+/// Declares a `static` [`Counter`] named by a string literal and
+/// evaluates to a `&'static` reference to it:
+/// `obs::counter!("tcp.transfers").add(1)`.
+#[macro_export]
+macro_rules! counter {
+    ($name:literal) => {{
+        static HANDLE: $crate::Counter = $crate::Counter::new($name);
+        &HANDLE
+    }};
+}
+
+/// Declares a `static` [`Gauge`] named by a string literal and evaluates
+/// to a `&'static` reference to it.
+#[macro_export]
+macro_rules! gauge {
+    ($name:literal) => {{
+        static HANDLE: $crate::Gauge = $crate::Gauge::new($name);
+        &HANDLE
+    }};
+}
+
+/// Declares a `static` [`Timer`] named by a string literal and evaluates
+/// to a `&'static` reference to it:
+/// `let _scope = obs::timer!("stage.transfer").start();`.
+#[macro_export]
+macro_rules! timer {
+    ($name:literal) => {{
+        static HANDLE: $crate::Timer = $crate::Timer::new($name);
+        &HANDLE
+    }};
 }
 
 /// Turns telemetry collection on or off. Disabled (the default), every
@@ -141,113 +234,31 @@ fn locked<C>(
 /// recorded before. Enabling does not clear prior data; call [`reset`]
 /// for a fresh window.
 pub fn set_enabled(on: bool) {
-    registry().enabled.store(on, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Whether telemetry collection is currently enabled.
+#[inline]
 pub fn enabled() -> bool {
-    registry().enabled.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Zeroes every registered instrument in place. Interned names survive
-/// (zero-valued entries still appear in [`snapshot`]), and instrument
-/// handles held by other threads stay valid.
+/// (zero-valued entries still appear in [`snapshot`]), and handles stay
+/// valid.
 pub fn reset() {
-    let reg = registry();
-    for cell in locked(&reg.counters).values() {
+    for cell in locked(&COUNTERS).values() {
         cell.count.store(0, Ordering::Relaxed);
     }
-    for cell in locked(&reg.gauges).values() {
-        cell.bits.store(0f64.to_bits(), Ordering::Relaxed);
+    for cell in locked(&GAUGES).values() {
+        cell.bits.store(0, Ordering::Relaxed);
     }
-    for cell in locked(&reg.dists).values() {
-        cell.count.store(0, Ordering::Relaxed);
-        cell.total_bits.store(0f64.to_bits(), Ordering::Relaxed);
-        cell.min_bits
-            .store(f64::INFINITY.to_bits(), Ordering::Relaxed);
-        cell.max_bits
-            .store(f64::NEG_INFINITY.to_bits(), Ordering::Relaxed);
-    }
-    for cell in locked(&reg.timers).values() {
+    for cell in locked(&TIMERS).values() {
         cell.count.store(0, Ordering::Relaxed);
         cell.total_ns.store(0, Ordering::Relaxed);
         cell.min_ns.store(0, Ordering::Relaxed);
         cell.max_ns.store(0, Ordering::Relaxed);
     }
-}
-
-/// Adds `n` to the counter `name`. No-op while disabled.
-pub fn add(name: &str, n: u64) {
-    if !enabled() || n == 0 {
-        return;
-    }
-    intern(&registry().counters, name)
-        .count
-        .fetch_add(n, Ordering::Relaxed);
-}
-
-/// Sets the gauge `name` to `value` (last write wins). No-op while
-/// disabled.
-pub fn gauge_set(name: &str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    intern(&registry().gauges, name)
-        .bits
-        .store(value.to_bits(), Ordering::Relaxed);
-}
-
-fn dist_fold(cell: &AtomicU64, sample: f64, pick: fn(f64, f64) -> f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = pick(f64::from_bits(cur), sample).to_bits();
-        if next == cur {
-            return;
-        }
-        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-fn dist_push(cell: &DistCell, count: u64, total: f64, min: f64, max: f64) {
-    cell.count.fetch_add(count, Ordering::Relaxed);
-    dist_fold(&cell.total_bits, total, |acc, v| acc + v);
-    dist_fold(&cell.min_bits, min, f64::min);
-    dist_fold(&cell.max_bits, max, f64::max);
-}
-
-/// Records one sample into the distribution `name`. No-op while
-/// disabled; non-finite samples are dropped.
-pub fn record(name: &str, sample: f64) {
-    if !enabled() || !sample.is_finite() {
-        return;
-    }
-    dist_push(&intern(&registry().dists, name), 1, sample, sample, sample);
-}
-
-/// Merges a pre-aggregated summary (count, sum, min, max) into the
-/// distribution `name`. Lets hot paths keep cheap thread-local
-/// summaries and fold them in once per trace. No-op while disabled or
-/// when `count` is zero.
-pub fn record_summary(name: &str, count: u64, total: f64, min: f64, max: f64) {
-    if !enabled() || count == 0 {
-        return;
-    }
-    if !(total.is_finite() && min.is_finite() && max.is_finite()) {
-        return;
-    }
-    dist_push(&intern(&registry().dists, name), count, total, min, max);
-}
-
-/// Records a pre-measured duration (in nanoseconds) into the timer
-/// `name`. No-op while disabled.
-pub fn timer_record_ns(name: &str, elapsed_ns: u64) {
-    if !enabled() {
-        return;
-    }
-    timer_push(&intern(&registry().timers, name), elapsed_ns);
 }
 
 fn timer_push(cell: &TimerCell, elapsed_ns: u64) {
@@ -267,95 +278,56 @@ fn timer_push(cell: &TimerCell, elapsed_ns: u64) {
 /// dropped (or explicitly via [`TimeScope::stop`]). Holds no lock; the
 /// clock is read at start and stop only.
 #[derive(Debug)]
-pub struct TimeScope {
-    live: Option<(Arc<TimerCell>, Instant)>,
+pub struct TimeScope<'a> {
+    live: Option<(&'a TimerCell, Instant)>,
 }
 
-impl TimeScope {
+impl TimeScope<'_> {
     /// Stops the scope now and records the elapsed time. Idempotent.
     pub fn stop(&mut self) {
         if let Some((cell, started)) = self.live.take() {
             let elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            timer_push(&cell, elapsed_ns);
+            timer_push(cell, elapsed_ns);
         }
     }
 }
 
-impl Drop for TimeScope {
+impl Drop for TimeScope<'_> {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-/// Starts a wall-clock timing scope for the timer `name`. While
-/// telemetry is disabled this returns an inert scope and never reads
-/// the clock.
-#[must_use = "a TimeScope records on drop; binding it to _ drops immediately"]
-pub fn time_scope(name: &str) -> TimeScope {
-    if !enabled() {
-        return TimeScope { live: None };
-    }
-    TimeScope {
-        live: Some((intern(&registry().timers, name), Instant::now())),
     }
 }
 
 /// Snapshots every registered instrument into a serializable report.
 /// Entries are sorted by name; timers are reported in seconds.
 pub fn snapshot() -> TelemetryReport {
-    let reg = registry();
-    let counters = locked(&reg.counters)
+    let counters = locked(&COUNTERS)
         .iter()
         .map(|(name, cell)| CounterEntry {
             name: name.clone(),
             count: cell.count.load(Ordering::Relaxed),
         })
         .collect();
-    let gauges = locked(&reg.gauges)
+    let gauges = locked(&GAUGES)
         .iter()
         .map(|(name, cell)| GaugeEntry {
             name: name.clone(),
             value: f64::from_bits(cell.bits.load(Ordering::Relaxed)),
         })
         .collect();
-    let dists = locked(&reg.dists)
+    let timers = locked(&TIMERS)
         .iter()
-        .map(|(name, cell)| {
-            let count = cell.count.load(Ordering::Relaxed);
-            DistEntry {
-                name: name.clone(),
-                count,
-                total: f64::from_bits(cell.total_bits.load(Ordering::Relaxed)),
-                min: if count == 0 {
-                    0.0
-                } else {
-                    f64::from_bits(cell.min_bits.load(Ordering::Relaxed))
-                },
-                max: if count == 0 {
-                    0.0
-                } else {
-                    f64::from_bits(cell.max_bits.load(Ordering::Relaxed))
-                },
-            }
-        })
-        .collect();
-    let timers = locked(&reg.timers)
-        .iter()
-        .map(|(name, cell)| {
-            let count = cell.count.load(Ordering::Relaxed);
-            TimerEntry {
-                name: name.clone(),
-                count,
-                total_s: cell.total_ns.load(Ordering::Relaxed) as f64 / 1e9,
-                min_s: cell.min_ns.load(Ordering::Relaxed) as f64 / 1e9,
-                max_s: cell.max_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            }
+        .map(|(name, cell)| TimerEntry {
+            name: name.clone(),
+            count: cell.count.load(Ordering::Relaxed),
+            total_s: cell.total_ns.load(Ordering::Relaxed) as f64 / 1e9,
+            min_s: cell.min_ns.load(Ordering::Relaxed) as f64 / 1e9,
+            max_s: cell.max_ns.load(Ordering::Relaxed) as f64 / 1e9,
         })
         .collect();
     TelemetryReport {
         counters,
         gauges,
-        dists,
         timers,
     }
 }
@@ -382,7 +354,7 @@ mod tests {
     /// The registry (and its enabled flag) is process-global, so
     /// parallel tests would race on it; every test serializes on this
     /// lock.
-    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    fn test_lock() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         match LOCK.lock() {
             Ok(g) => g,
@@ -396,35 +368,26 @@ mod tests {
         reset();
         set_enabled(true);
 
-        add("t.counter", 2);
-        add("t.counter", 3);
-        gauge_set("t.gauge", 8.5);
-        record("t.dist", 1.0);
-        record("t.dist", 3.0);
-        record_summary("t.dist", 2, 10.0, 2.0, 8.0);
-        timer_record_ns("t.timer", 1_000_000);
+        counter!("t.counter").add(2);
+        counter!("t.counter").add(3);
+        gauge!("t.gauge").set(8.5);
+        let timer = timer!("t.timer");
         {
-            let _scope = time_scope("t.timer");
+            let _scope = timer.start();
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
+        timer.start().stop();
 
         let report = snapshot();
         set_enabled(false);
 
         assert_eq!(report.counter("t.counter"), Some(5));
-        let gauge = report
-            .gauges
-            .iter()
-            .find(|g| g.name == "t.gauge")
-            .map(|g| g.value);
+        let gauge = report.gauge("t.gauge");
         assert!(gauge.is_some_and(|v| (v - 8.5).abs() < 1e-12));
-        let dist = report.dist("t.dist").expect("dist recorded");
-        assert_eq!(dist.count, 4);
-        assert!((dist.total - 14.0).abs() < 1e-12);
-        assert!((dist.min - 1.0).abs() < 1e-12);
-        assert!((dist.max - 8.0).abs() < 1e-12);
         let timer = report.timer("t.timer").expect("timer recorded");
         assert_eq!(timer.count, 2);
         assert!(timer.total_s >= 1e-3);
+        assert!(timer.min_s <= timer.max_s);
 
         reset();
         let zeroed = snapshot();
@@ -435,12 +398,14 @@ mod tests {
     fn disabled_instruments_record_nothing() {
         let _guard = test_lock();
         set_enabled(false);
-        add("t.off", 7);
-        record("t.off.dist", 1.0);
-        let _scope = time_scope("t.off.timer");
+        counter!("t.off").add(7);
+        gauge!("t.off.gauge").set(1.0);
+        let scope = timer!("t.off.timer").start();
+        assert!(scope.live.is_none(), "a disabled timer read the clock");
+        drop(scope);
         let report = snapshot();
         assert_eq!(report.counter("t.off"), None);
-        assert!(report.dist("t.off.dist").is_none());
+        assert_eq!(report.gauge("t.off.gauge"), None);
         assert!(report.timer("t.off.timer").is_none());
     }
 
@@ -453,7 +418,7 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..1000 {
-                        add("t.contended", 1);
+                        counter!("t.contended").add(1);
                     }
                 });
             }
@@ -461,5 +426,60 @@ mod tests {
         let report = snapshot();
         set_enabled(false);
         assert_eq!(report.counter("t.contended"), Some(4000));
+    }
+
+    #[test]
+    fn a_zero_add_lists_no_name() {
+        let _guard = test_lock();
+        reset();
+        set_enabled(true);
+        counter!("t.zero").add(0);
+        let report = snapshot();
+        set_enabled(false);
+        assert_eq!(report.counter("t.zero"), None);
+    }
+
+    #[test]
+    fn reset_keeps_handles_valid_and_listed_at_zero() {
+        let _guard = test_lock();
+        reset();
+        set_enabled(true);
+        let c = counter!("t.kept");
+        c.add(4);
+        reset();
+        assert_eq!(snapshot().counter("t.kept"), Some(0));
+        c.add(1);
+        let report = snapshot();
+        set_enabled(false);
+        assert_eq!(report.counter("t.kept"), Some(1));
+    }
+
+    #[test]
+    fn a_runtime_named_timer_lands_under_its_name() {
+        let _guard = test_lock();
+        reset();
+        set_enabled(true);
+        let timer = Timer::named(format!("t.path_wall.{}", "x-1"));
+        timer.start().stop();
+        timer.start().stop();
+        let report = snapshot();
+        set_enabled(false);
+        assert_eq!(report.timer("t.path_wall.x-1").map(|t| t.count), Some(2));
+    }
+
+    #[test]
+    fn handles_sharing_a_name_sum_into_one_entry() {
+        let _guard = test_lock();
+        reset();
+        set_enabled(true);
+        counter!("t.shared").add(2);
+        counter!("t.shared").add(5);
+        let own = Counter::new("t.shared");
+        own.add(1);
+        let report = snapshot();
+        set_enabled(false);
+        assert_eq!(report.counter("t.shared"), Some(8));
+        let listed = report.counters.iter().filter(|c| c.name == "t.shared");
+        assert_eq!(listed.count(), 1);
     }
 }

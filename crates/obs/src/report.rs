@@ -16,17 +16,6 @@ pub struct GaugeEntry {
     pub value: f64,
 }
 
-/// One sample distribution at snapshot time. `total` is the sample
-/// sum; `min`/`max` are 0 when `count` is 0.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DistEntry {
-    pub name: String,
-    pub count: u64,
-    pub total: f64,
-    pub min: f64,
-    pub max: f64,
-}
-
 /// One wall-clock timer at snapshot time, reported in seconds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimerEntry {
@@ -55,7 +44,6 @@ impl TimerEntry {
 pub struct TelemetryReport {
     pub counters: Vec<CounterEntry>,
     pub gauges: Vec<GaugeEntry>,
-    pub dists: Vec<DistEntry>,
     pub timers: Vec<TimerEntry>,
 }
 
@@ -65,7 +53,6 @@ impl TelemetryReport {
         TelemetryReport {
             counters: Vec::new(),
             gauges: Vec::new(),
-            dists: Vec::new(),
             timers: Vec::new(),
         }
     }
@@ -91,11 +78,6 @@ impl TelemetryReport {
     /// Looks up a gauge by name.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
-    }
-
-    /// Looks up a distribution by name.
-    pub fn dist(&self, name: &str) -> Option<&DistEntry> {
-        self.dists.iter().find(|d| d.name == name)
     }
 
     /// Looks up a timer by name.

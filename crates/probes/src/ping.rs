@@ -79,11 +79,14 @@ impl PingStats {
     /// the mask's outage window are dropped from the summary, probes in
     /// its forced-loss window count as lost. With [`ProbeMask::none`]
     /// this is exactly `summarize`.
+    ///
+    /// Records are kept in send order, so the window is found by binary
+    /// search and the cost is O(log n + window), not O(n).
     pub fn summarize_masked(&self, from: Time, to: Time, mask: &ProbeMask) -> PingSummary {
-        let window = self
-            .records
+        let lo = self.records.partition_point(|r| r.sent_at < from);
+        let hi = lo + self.records[lo..].partition_point(|r| r.sent_at < to);
+        let window = self.records[lo..hi]
             .iter()
-            .filter(|r| r.sent_at >= from && r.sent_at < to)
             .filter(|r| !within(r.sent_at, mask.outage));
         let mut sent = 0;
         let mut received = 0;
@@ -352,6 +355,94 @@ mod tests {
         let masked = stats.summarize_masked(Time::ZERO, Time::from_secs(60), &ProbeMask::none());
         assert_eq!(plain, masked);
         assert!(ProbeMask::none().is_none());
+    }
+
+    /// The linear filter `summarize_masked` replaced, kept verbatim as
+    /// the reference for the binary-searched window.
+    fn summarize_by_filter(
+        stats: &PingStats,
+        from: Time,
+        to: Time,
+        mask: &ProbeMask,
+    ) -> PingSummary {
+        let window = stats
+            .records
+            .iter()
+            .filter(|r| r.sent_at >= from && r.sent_at < to)
+            .filter(|r| !within(r.sent_at, mask.outage));
+        let mut sent = 0;
+        let mut received = 0;
+        let mut rtt_sum = 0.0;
+        for r in window {
+            sent += 1;
+            if within(r.sent_at, mask.forced_loss) {
+                continue;
+            }
+            if let Some(rtt) = r.rtt {
+                received += 1;
+                rtt_sum += rtt.as_secs_f64();
+            }
+        }
+        PingSummary {
+            sent,
+            received,
+            rtt: if received > 0 {
+                rtt_sum / received as f64
+            } else {
+                0.0
+            },
+            loss_rate: if sent > 0 {
+                (sent - received) as f64 / sent as f64
+            } else {
+                0.0
+            },
+        }
+    }
+
+    #[test]
+    fn windowed_summary_is_bit_identical_to_the_linear_filter() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let window = |rng: &mut StdRng| {
+            let a = Time::from_nanos(rng.random_range(0..12_000_000_000_u64));
+            let b = Time::from_nanos(rng.random_range(0..12_000_000_000_u64));
+            (a.min(b), a.max(b))
+        };
+        for _ in 0..200 {
+            // Send times ascend, with repeats, as `on_timer` pushes them.
+            let mut at = 0_u64;
+            let records: Vec<ProbeRecord> = (0..rng.random_range(0..300_usize))
+                .map(|_| {
+                    at += rng.random_range(0..100_000_000_u64);
+                    let rtt = rng
+                        .random_bool(0.8)
+                        .then(|| Time::from_nanos(rng.random_range(1..900_000_000_u64)));
+                    ProbeRecord {
+                        sent_at: Time::from_nanos(at),
+                        rtt,
+                    }
+                })
+                .collect();
+            let stats = PingStats { records };
+            for _ in 0..10 {
+                let (from, to) = window(&mut rng);
+                let mask = ProbeMask {
+                    outage: rng.random_bool(0.5).then(|| window(&mut rng)),
+                    forced_loss: rng.random_bool(0.5).then(|| window(&mut rng)),
+                };
+                let got = stats.summarize_masked(from, to, &mask);
+                let want = summarize_by_filter(&stats, from, to, &mask);
+                assert_eq!((got.sent, got.received), (want.sent, want.received));
+                assert_eq!(got.rtt.to_bits(), want.rtt.to_bits());
+                assert_eq!(got.loss_rate.to_bits(), want.loss_rate.to_bits());
+                // A reversed window is empty, as the filter has it.
+                assert_eq!(
+                    stats.summarize_masked(to, from, &mask).sent,
+                    summarize_by_filter(&stats, to, from, &mask).sent
+                );
+            }
+        }
     }
 
     #[test]

@@ -99,10 +99,6 @@ pub struct FlowStats {
     pub timeouts: u64,
     /// RTT samples taken by the sender (seconds).
     pub rtt: Summary,
-    /// Congestion-window samples (bytes), taken by the sender whenever
-    /// the window changes. Observation-only: nothing in the protocol
-    /// reads this back.
-    pub cwnd_bytes: Summary,
     /// True once the sender has passed its stop time (timed flows) or
     /// delivered its byte budget (sized flows) and the flight drained.
     pub finished: bool,

@@ -184,12 +184,6 @@ impl TcpSender {
         (self.flight() as f64 / 2.0).max(2.0 * mss)
     }
 
-    /// Records the current congestion window into the shared stats.
-    /// Called after every window change; purely observational.
-    fn sample_cwnd(&self) {
-        self.stats.borrow_mut().cwnd_bytes.push(self.cwnd);
-    }
-
     fn on_ack(&mut self, ctx: &mut Ctx<'_>, meta: TcpMeta) {
         let mss = self.config.mss as f64;
         if meta.ack > self.snd_una {
@@ -223,7 +217,6 @@ impl TcpSender {
                         let hole = self.snd_una;
                         self.send_segment(ctx, hole);
                         self.cwnd = (self.cwnd - bytes_acked as f64 + mss).max(2.0 * mss);
-                        self.sample_cwnd();
                         self.arm_rto(ctx);
                         return;
                     }
@@ -233,7 +226,6 @@ impl TcpSender {
             } else {
                 self.cwnd += mss * mss / self.cwnd;
             }
-            self.sample_cwnd();
             self.dup_acks = 0;
             if self.flight() > 0 {
                 self.arm_rto(ctx);
@@ -253,7 +245,6 @@ impl TcpSender {
             if self.in_recovery {
                 // Window inflation: one MSS per duplicate.
                 self.cwnd += mss;
-                self.sample_cwnd();
                 self.send_available(ctx);
             } else if self.dup_acks == 3 {
                 // Fast retransmit.
@@ -262,7 +253,6 @@ impl TcpSender {
                 let una = self.snd_una;
                 self.send_segment(ctx, una);
                 self.cwnd = self.ssthresh + 3.0 * mss;
-                self.sample_cwnd();
                 self.in_recovery = true;
                 self.stats.borrow_mut().fast_retransmits += 1;
                 self.arm_rto(ctx);
@@ -277,7 +267,6 @@ impl TcpSender {
         let mss = self.config.mss as f64;
         self.ssthresh = self.halved_ssthresh();
         self.cwnd = mss;
-        self.sample_cwnd();
         self.in_recovery = false;
         self.dup_acks = 0;
         self.rto.backoff();

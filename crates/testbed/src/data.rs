@@ -409,12 +409,9 @@ pub(crate) fn regenerate_all<T: Send>(
     ids: &[usize],
     job: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
-    obs::gauge_set("testbed.workers", rayon::current_num_threads() as f64);
-    obs::add(
-        "testbed.traces",
-        (ids.len() * preset.traces_per_path) as u64,
-    );
-    let mut gen_scope = obs::time_scope("testbed.generate_wall");
+    obs::gauge!("testbed.workers").set(rayon::current_num_threads() as f64);
+    obs::counter!("testbed.traces").add((ids.len() * preset.traces_per_path) as u64);
+    let mut gen_scope = obs::timer!("testbed.generate_wall").start();
     let results = ids.par_iter().map(|&id| job(id)).collect();
     gen_scope.stop();
     results
@@ -579,7 +576,7 @@ fn header_trusted(path: &FsPath, expected_fingerprint: &str) -> io::Result<bool>
 fn load_shard(path: &FsPath) -> io::Result<ShardFile> {
     let json = fs::read_to_string(path)?;
     let shard = serde_json::from_str(&json).map_err(io::Error::other)?;
-    obs::add("data.bytes_decoded", json.len() as u64);
+    obs::counter!("data.bytes_decoded").add(json.len() as u64);
     Ok(shard)
 }
 
@@ -592,7 +589,7 @@ fn save_shard(dir: &FsPath, id: usize, preset: &Preset, data: &PathData) -> io::
         path: data,
     };
     let json = serde_json::to_string(&shard).map_err(io::Error::other)?;
-    obs::add("data.bytes_encoded", json.len() as u64);
+    obs::counter!("data.bytes_encoded").add(json.len() as u64);
     write_atomic(&dir.join(shard_file_name(id)), &json)
 }
 

@@ -195,88 +195,68 @@ fn summary_measurements(s: &PingSummary) -> (Option<f64>, Option<f64>) {
 /// Observation-only (and a no-op unless profiling is enabled): nothing
 /// here feeds back into the epoch loop.
 fn tally_epoch_faults(faults: &EpochFaults) {
-    obs::add("testbed.epochs", 1);
+    obs::counter!("testbed.epochs").add(1);
     if !faults.is_clean() {
-        obs::add("testbed.epochs_degraded", 1);
+        obs::counter!("testbed.epochs_degraded").add(1);
     }
-    let classes: [(&str, bool); 6] = [
-        ("testbed.faults.node_down", faults.node_down),
-        ("testbed.faults.pathload_failed", faults.pathload_failed),
-        ("testbed.faults.ping_outage", faults.ping_outage),
-        ("testbed.faults.reply_loss_burst", faults.reply_loss_burst),
-        (
-            "testbed.faults.transfer_truncated",
-            faults.transfer_truncated,
-        ),
-        ("testbed.faults.transfer_failed", faults.transfer_failed),
-    ];
-    for (name, hit) in classes {
-        if hit {
-            obs::add(name, 1);
-        }
-    }
+    obs::counter!("testbed.faults.node_down").add(u64::from(faults.node_down));
+    obs::counter!("testbed.faults.pathload_failed").add(u64::from(faults.pathload_failed));
+    obs::counter!("testbed.faults.ping_outage").add(u64::from(faults.ping_outage));
+    obs::counter!("testbed.faults.reply_loss_burst").add(u64::from(faults.reply_loss_burst));
+    obs::counter!("testbed.faults.transfer_truncated").add(u64::from(faults.transfer_truncated));
+    obs::counter!("testbed.faults.transfer_failed").add(u64::from(faults.transfer_failed));
 }
 
 /// Tallies the epoch's outage regime into the telemetry registry —
 /// observation-only, like [`tally_epoch_faults`].
 fn tally_regime(regime: crate::faults::OutageRegime) {
-    let name = match regime {
-        crate::faults::OutageRegime::Healthy => "testbed.regimes.healthy",
-        crate::faults::OutageRegime::Degraded => "testbed.regimes.degraded",
-        crate::faults::OutageRegime::Down => "testbed.regimes.down",
+    let counter = match regime {
+        crate::faults::OutageRegime::Healthy => obs::counter!("testbed.regimes.healthy"),
+        crate::faults::OutageRegime::Degraded => obs::counter!("testbed.regimes.degraded"),
+        crate::faults::OutageRegime::Down => obs::counter!("testbed.regimes.down"),
     };
-    obs::add(name, 1);
+    counter.add(1);
 }
 
 /// Folds one finished transfer's flow statistics into the telemetry
-/// registry (segments, retransmissions, RTO firings, cwnd samples).
+/// registry (segments, retransmissions, RTO firings).
 fn tally_flow(stats: &tputpred_tcp::FlowStats) {
-    obs::add("tcp.transfers", 1);
-    obs::add("tcp.segments_sent", stats.segments_sent);
-    obs::add("tcp.retransmits", stats.retransmits);
-    obs::add("tcp.fast_retransmits", stats.fast_retransmits);
-    obs::add("tcp.rto_firings", stats.timeouts);
-    let cwnd = &stats.cwnd_bytes;
-    obs::record_summary(
-        "tcp.cwnd_bytes",
-        cwnd.count(),
-        cwnd.mean() * cwnd.count() as f64,
-        cwnd.min(),
-        cwnd.max(),
-    );
+    obs::counter!("tcp.transfers").add(1);
+    obs::counter!("tcp.segments_sent").add(stats.segments_sent);
+    obs::counter!("tcp.retransmits").add(stats.retransmits);
+    obs::counter!("tcp.fast_retransmits").add(stats.fast_retransmits);
+    obs::counter!("tcp.rto_firings").add(stats.timeouts);
 }
 
 /// Folds a trace's engine, link, and probe tallies into the telemetry
 /// registry once the epoch loop is over — the hot event loop itself
 /// touches only the engine's plain local counters.
-fn flush_trace_telemetry(world: &TraceWorld, trace_len: Time) {
+fn flush_trace_telemetry(world: &TraceWorld) {
     if !obs::enabled() {
         return;
     }
     let c = world.sim.counters();
-    obs::add("netsim.events", c.events);
-    obs::add("netsim.timer_events", c.timer_events);
-    obs::add("netsim.txdone_events", c.txdone_events);
-    obs::add("netsim.arrival_events", c.arrival_events);
-    obs::add("netsim.elided_arrivals", c.elided_arrivals);
-    obs::add("netsim.packets_offered", c.packets_offered);
-    obs::add("netsim.packets_tx_started", c.packets_tx_started);
-    obs::add("netsim.packets_queued", c.packets_queued);
-    obs::add("netsim.packets_dropped", c.packets_dropped);
-    obs::add("netsim.packets_delivered", c.packets_delivered);
-    obs::add("netsim.endpoint_calls", c.endpoint_calls);
-    obs::add("netsim.timer_clamps", c.timer_clamps);
-    obs::add("netsim.timer_pushes", c.timer_pushes);
-    obs::add("netsim.elided_timers", c.elided_timers);
+    obs::counter!("netsim.events").add(c.events);
+    obs::counter!("netsim.timer_events").add(c.timer_events);
+    obs::counter!("netsim.txdone_events").add(c.txdone_events);
+    obs::counter!("netsim.arrival_events").add(c.arrival_events);
+    obs::counter!("netsim.elided_arrivals").add(c.elided_arrivals);
+    obs::counter!("netsim.packets_offered").add(c.packets_offered);
+    obs::counter!("netsim.packets_tx_started").add(c.packets_tx_started);
+    obs::counter!("netsim.packets_queued").add(c.packets_queued);
+    obs::counter!("netsim.packets_dropped").add(c.packets_dropped);
+    obs::counter!("netsim.packets_delivered").add(c.packets_delivered);
+    obs::counter!("netsim.endpoint_calls").add(c.endpoint_calls);
+    obs::counter!("netsim.timer_clamps").add(c.timer_clamps);
+    obs::counter!("netsim.timer_pushes").add(c.timer_pushes);
+    obs::counter!("netsim.elided_timers").add(c.elided_timers);
     let fwd = world.sim.link(world.fwd).stats();
-    obs::add("netsim.fwd.packets_out", fwd.packets_out);
-    obs::add("netsim.fwd.bytes_out", fwd.bytes_out);
-    obs::add("netsim.fwd.drops", fwd.drops);
-    obs::record("netsim.fwd.drop_rate", fwd.drop_rate());
-    obs::record("netsim.fwd.utilization", fwd.utilization(trace_len));
+    obs::counter!("netsim.fwd.packets_out").add(fwd.packets_out);
+    obs::counter!("netsim.fwd.bytes_out").add(fwd.bytes_out);
+    obs::counter!("netsim.fwd.drops").add(fwd.drops);
     let ping = world.ping.borrow();
-    obs::add("probes.ping.sent", ping.total_sent() as u64);
-    obs::add("probes.ping.replies_lost", ping.replies_lost() as u64);
+    obs::counter!("probes.ping.sent").add(ping.total_sent() as u64);
+    obs::counter!("probes.ping.replies_lost").add(ping.replies_lost() as u64);
 }
 
 /// What the dataset records about one epoch's faults, from its plan.
@@ -305,12 +285,9 @@ fn epoch_faults(plan: &EpochFaultPlan) -> EpochFaults {
 /// probabilities zero this function is call-for-call identical to a
 /// build without the fault layer (the replay test pins this).
 pub fn run_trace(path: &PathConfig, trace_idx: usize, preset: &Preset) -> TraceData {
-    let _trace_scope = obs::time_scope("testbed.trace_wall");
-    let _path_scope = if obs::enabled() {
-        obs::time_scope(&format!("path_wall.{}", path.name))
-    } else {
-        obs::time_scope("path_wall.disabled")
-    };
+    let _trace_scope = obs::timer!("testbed.trace_wall").start();
+    let path_timer = obs::enabled().then(|| obs::Timer::named(format!("path_wall.{}", path.name)));
+    let _path_scope = path_timer.as_ref().map(obs::Timer::start);
     let mut world = build_trace(path, trace_idx, preset);
     let plan = FaultPlan::draw_with_regimes(
         &preset.faults,
@@ -322,7 +299,7 @@ pub fn run_trace(path: &PathConfig, trace_idx: usize, preset: &Preset) -> TraceD
     let mut records = Vec::with_capacity(preset.epochs_per_trace);
 
     for epoch in 0..preset.epochs_per_trace {
-        let _epoch_scope = obs::time_scope("testbed.epoch_wall");
+        let _epoch_scope = obs::timer!("testbed.epoch_wall").start();
         let t0 = Time::from_nanos(preset.epoch_len().as_nanos() * epoch as u64);
         let fault = plan.epoch(epoch);
         let faults = epoch_faults(&fault);
@@ -343,15 +320,15 @@ pub fn run_trace(path: &PathConfig, trace_idx: usize, preset: &Preset) -> TraceD
         });
         let ping_window_start = t0 + preset.pathload_slot;
         {
-            let _s = obs::time_scope("stage.pathload_slot");
+            let _s = obs::timer!("stage.pathload_slot").start();
             world.sim.run_until(ping_window_start);
         }
         if let Some(p) = &pathload {
             let r = p.borrow();
-            obs::add("probes.pathload.runs", 1);
-            obs::add("probes.pathload.streams_used", r.streams_used as u64);
+            obs::counter!("probes.pathload.runs").add(1);
+            obs::counter!("probes.pathload.streams_used").add(r.streams_used as u64);
             if r.done {
-                obs::add("probes.pathload.converged", 1);
+                obs::counter!("probes.pathload.converged").add(1);
             }
         }
         let a_hat = match &pathload {
@@ -366,7 +343,7 @@ pub fn run_trace(path: &PathConfig, trace_idx: usize, preset: &Preset) -> TraceD
         let busy_before = world.sim.link(world.fwd).stats().busy;
         let transfer_start = ping_window_start + preset.pre_ping;
         {
-            let _s = obs::time_scope("stage.ping_window");
+            let _s = obs::timer!("stage.ping_window").start();
             world.sim.run_until(transfer_start);
         }
         let busy_after = world.sim.link(world.fwd).stats().busy;
@@ -387,7 +364,7 @@ pub fn run_trace(path: &PathConfig, trace_idx: usize, preset: &Preset) -> TraceD
         let mut r_prefix_half = None;
         let mut flow_stats = (0_u64, 0.0, 0.0);
         let launch_main = !fault.missing && fault.transfer != TransferFault::Failed;
-        let _transfer_scope = obs::time_scope("stage.transfer");
+        let _transfer_scope = obs::timer!("stage.transfer").start();
         if launch_main {
             let stop = match fault.transfer {
                 TransferFault::Truncated(frac) => {
@@ -437,7 +414,7 @@ pub fn run_trace(path: &PathConfig, trace_idx: usize, preset: &Preset) -> TraceD
         let mut r_small = None;
         let mut cursor = transfer_end + preset.epoch_gap;
         if preset.with_small_window {
-            let _s = obs::time_scope("stage.small_transfer");
+            let _s = obs::timer!("stage.small_transfer").start();
             world.sim.run_until(cursor);
             let small_end = cursor + preset.transfer;
             if !fault.missing {
@@ -461,7 +438,7 @@ pub fn run_trace(path: &PathConfig, trace_idx: usize, preset: &Preset) -> TraceD
 
         // --- Summarize the ping windows (reply-safe: the epoch gap has
         //     passed, so all echoes are in) ------------------------------
-        let _summarize_scope = obs::time_scope("stage.summarize");
+        let _summarize_scope = obs::timer!("stage.summarize").start();
         let (t_hat, p_hat, t_tilde, p_tilde) = if fault.missing {
             (None, None, None, None)
         } else {
@@ -505,7 +482,7 @@ pub fn run_trace(path: &PathConfig, trace_idx: usize, preset: &Preset) -> TraceD
             true_avail_bw,
         });
     }
-    flush_trace_telemetry(&world, preset.trace_len());
+    flush_trace_telemetry(&world);
     TraceData { records }
 }
 
@@ -600,7 +577,7 @@ pub fn for_each_path<V>(
 where
     V: FnMut(usize, &PathData) -> std::io::Result<()>,
 {
-    let mut scope = obs::time_scope("testbed.shard_cache_wall");
+    let mut scope = obs::timer!("testbed.shard_cache_wall").start();
     let catalog = catalog_for(preset);
     let result = Dataset::for_each_path_sharded(
         dir,
@@ -608,16 +585,16 @@ where
         &catalog,
         |id| generate_path(preset, &catalog[id]),
         |id, path| {
-            obs::add("testbed.paths_streamed", 1);
+            obs::counter!("testbed.paths_streamed").add(1);
             visit(id, path)
         },
     );
     scope.stop();
     if let Ok(stats) = &result {
-        obs::add("testbed.shards.hit", stats.hits as u64);
-        obs::add("testbed.shards.missing", stats.missing as u64);
-        obs::add("testbed.shards.stale", stats.stale as u64);
-        obs::add("testbed.shards.regenerated", stats.regenerated() as u64);
+        obs::counter!("testbed.shards.hit").add(stats.hits as u64);
+        obs::counter!("testbed.shards.missing").add(stats.missing as u64);
+        obs::counter!("testbed.shards.stale").add(stats.stale as u64);
+        obs::counter!("testbed.shards.regenerated").add(stats.regenerated() as u64);
     }
     result
 }

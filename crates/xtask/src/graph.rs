@@ -10,7 +10,7 @@
 //!
 //! The `obs` crate is the one sanctioned gateway (DESIGN.md §11): it is
 //! observation-only and may own `Instant`, so edges into it — whether
-//! written `obs::add(...)` or resolved to a function defined under
+//! written `obs::Timer::named(...)` or resolved to a function defined under
 //! `crates/obs/` — are never traversed. Reachability *stops at the obs
 //! boundary*.
 //!
@@ -264,7 +264,7 @@ pub fn check(files: &[FileModel], treat_all_as_sim: bool) -> Vec<Diagnostic> {
                     ),
                 )
                 .with_hint(
-                    "route timing through obs's name-based API (DESIGN.md §11) or cut the call",
+                    "route timing through an obs timer handle (DESIGN.md §11) or cut the call",
                 ),
             );
         }

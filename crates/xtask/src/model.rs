@@ -62,7 +62,7 @@ pub fn dim_of_ident(ident: &str) -> Option<Dim> {
 pub struct CallSite {
     /// The called identifier (`push`, `as_secs_f64`, `generate`).
     pub name: String,
-    /// Path segments before the name (`obs` in `obs::add(...)`,
+    /// Path segments before the name (`obs` in `obs::Timer::named(...)`,
     /// `Time` in `Time::from_secs(...)`); empty for bare calls.
     pub path: Vec<String>,
     /// Whether this is a `.name(...)` method call.
