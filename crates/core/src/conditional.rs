@@ -15,6 +15,7 @@
 use crate::error::PredictError;
 use crate::predictor::{typed_forecast, EpochFeatures, EpochObservation, Predictor, Update};
 use std::collections::{BTreeMap, VecDeque};
+use tputpred_stats::quantile::quantile_sorted;
 
 /// Coarse, order-preserving bin key for one epoch's probe features.
 ///
@@ -28,6 +29,12 @@ type BinKey = (Option<i16>, Option<u8>);
 ///
 /// Deterministic by construction: bins live in a [`BTreeMap`] (ordered
 /// iteration) and each bin is a bounded FIFO of samples.
+///
+/// Every bin, and the whole history, is also kept sorted as samples
+/// arrive and age out, so a forecast reads its median in place
+/// instead of copying and sorting the samples. The sorted orders are
+/// those a stable sort gives (equal values by bin key, then age), so
+/// the medians are those of sorting afresh, bit for bit.
 ///
 /// # Examples
 ///
@@ -49,7 +56,21 @@ type BinKey = (Option<i16>, Option<u8>);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ConditionalPredictor {
-    bins: BTreeMap<BinKey, VecDeque<f64>>,
+    bins: BTreeMap<BinKey, Bin>,
+    /// Every retained sample, ascending; equal values ordered by bin
+    /// key, then age.
+    history: Vec<f64>,
+    /// The bin of each entry of `history`.
+    history_bins: Vec<BinKey>,
+}
+
+/// One feature bin's samples.
+#[derive(Debug, Clone, Default)]
+struct Bin {
+    /// In arrival order, oldest first: the eviction order.
+    fifo: VecDeque<f64>,
+    /// The same samples ascending; equal values oldest first.
+    sorted: Vec<f64>,
 }
 
 /// Samples a bin retains (older ones age out FIFO).
@@ -101,9 +122,13 @@ impl ConditionalPredictor {
         self.bins.len()
     }
 
-    fn median_of(samples: impl Iterator<Item = f64>) -> Option<f64> {
-        let xs: Vec<f64> = samples.collect();
-        tputpred_stats::median(&xs)
+    /// Where `(x, key)` goes in the history: after every smaller value
+    /// and, among values equal to `x`, after those of lower bins and
+    /// (when `after_own`) of its own bin.
+    fn history_slot(&self, x: f64, key: BinKey, after_own: bool) -> usize {
+        let lo = self.history.partition_point(|&y| y < x);
+        let hi = lo + self.history[lo..].partition_point(|&y| y <= x);
+        lo + self.history_bins[lo..hi].partition_point(|&k| k < key || (after_own && k == key))
     }
 }
 
@@ -115,13 +140,12 @@ impl Predictor for ConditionalPredictor {
     /// [`PredictError::InsufficientHistory`] only before any transfer
     /// has been observed at all.
     fn try_predict(&self, features: &EpochFeatures) -> Result<f64, PredictError> {
-        let key = bin_key(features);
         let bin = self
             .bins
-            .get(&key)
-            .filter(|bin| bin.len() >= MIN_BIN)
-            .and_then(|bin| Self::median_of(bin.iter().copied()));
-        let global = || Self::median_of(self.bins.values().flat_map(|bin| bin.iter().copied()));
+            .get(&bin_key(features))
+            .filter(|bin| bin.sorted.len() >= MIN_BIN)
+            .map(|bin| quantile_sorted(&bin.sorted, 0.5));
+        let global = || (!self.history.is_empty()).then(|| quantile_sorted(&self.history, 0.5));
         typed_forecast(bin.or_else(global))
     }
 
@@ -134,16 +158,37 @@ impl Predictor for ConditionalPredictor {
         let Some(x_bps) = epoch.throughput_bps else {
             return Update::Skipped;
         };
-        let bin = self.bins.entry(bin_key(&epoch.features)).or_default();
-        if bin.len() == PER_BIN_CAP {
-            bin.pop_front();
+        debug_assert!(!x_bps.is_nan(), "NaN sample");
+        let key = bin_key(&epoch.features);
+        let bin = self.bins.entry(key).or_default();
+        let evicted = if bin.fifo.len() == PER_BIN_CAP {
+            bin.fifo.pop_front()
+        } else {
+            None
+        };
+        if let Some(old) = evicted {
+            // The oldest sample comes first among its equals.
+            let at = bin.sorted.partition_point(|&y| y < old);
+            bin.sorted.remove(at);
         }
-        bin.push_back(x_bps);
+        bin.fifo.push_back(x_bps);
+        let at = bin.sorted.partition_point(|&y| y <= x_bps);
+        bin.sorted.insert(at, x_bps);
+        if let Some(old) = evicted {
+            let at = self.history_slot(old, key, false);
+            self.history.remove(at);
+            self.history_bins.remove(at);
+        }
+        let at = self.history_slot(x_bps, key, true);
+        self.history.insert(at, x_bps);
+        self.history_bins.insert(at, key);
         Update::Accepted
     }
 
     fn reset(&mut self) {
         self.bins.clear();
+        self.history.clear();
+        self.history_bins.clear();
     }
 
     // lint:hot-path

@@ -303,23 +303,19 @@ impl SmoothedFbPredictor {
 }
 
 /// Prediction smooths the offered RTT/loss into the history *as if
-/// observed* (without mutating it — the histories are cloned), exactly
-/// the paper's protocol where each epoch's fresh measurement joins the
-/// average before predicting. Observing an epoch then ingests its
-/// features for real.
+/// observed* (without mutating it — [`MovingAverage::forecast_with`]),
+/// exactly the paper's protocol where each epoch's fresh measurement
+/// joins the average before predicting. Observing an epoch then
+/// ingests its features for real.
 impl Predictor for SmoothedFbPredictor {
     fn try_predict(&self, features: &EpochFeatures) -> Result<f64, PredictError> {
-        let mut rtt_ma = self.rtt_ma.clone();
-        let mut loss_ma = self.loss_ma.clone();
-        if let Some(rtt) = features.probes.rtt {
-            rtt_ma.update(rtt);
-        }
-        if let Some(p) = features.probes.loss_rate {
-            loss_ma.update(p);
-        }
+        let smooth = |ma: &MovingAverage, fresh: Option<f64>| match fresh {
+            Some(x) => ma.forecast_with(x).or(fresh),
+            None => ma.forecast(),
+        };
         let smoothed = PartialEstimates {
-            rtt: rtt_ma.forecast().or(features.probes.rtt),
-            loss_rate: loss_ma.forecast().or(features.probes.loss_rate),
+            rtt: smooth(&self.rtt_ma, features.probes.rtt),
+            loss_rate: smooth(&self.loss_ma, features.probes.loss_rate),
             avail_bw: features.probes.avail_bw,
         };
         self.fb.try_predict(&smoothed)

@@ -19,6 +19,7 @@ use super::{Predictor, Update};
 use crate::error::PredictError;
 use crate::predictor::{typed_forecast, EpochFeatures, EpochObservation};
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// Sliding-window AR(p) with Yule-Walker estimation.
 ///
@@ -41,7 +42,7 @@ pub struct ArPredictor {
     capacity: usize,
     /// Minimum samples before fitting (below this: window-mean fallback).
     min_history: usize,
-    name: String,
+    name: OnceLock<String>,
 }
 
 impl ArPredictor {
@@ -64,7 +65,7 @@ impl ArPredictor {
             window: VecDeque::with_capacity(capacity),
             capacity,
             min_history: 3 * order,
-            name: format!("AR({order})"),
+            name: OnceLock::new(),
         }
     }
 
@@ -119,7 +120,16 @@ impl ArPredictor {
     }
 
     fn fit_and_forecast(&self) -> Option<f64> {
-        let xs: Vec<f64> = self.window.iter().copied().collect();
+        // The window is read in place while it is one slice, which it
+        // is until it first wraps.
+        let wrapped: Vec<f64>;
+        let xs = match self.window.as_slices() {
+            (xs, []) => xs,
+            _ => {
+                wrapped = self.window.iter().copied().collect();
+                &wrapped
+            }
+        };
         if xs.is_empty() {
             return None;
         }
@@ -167,7 +177,10 @@ impl Predictor for ArPredictor {
 
     // lint:hot-path
     fn name(&self) -> &str {
-        &self.name
+        self.name.get_or_init(|| {
+            // lint:allow(hot-path-alloc): formats once, on the first call; cached after
+            format!("AR({})", self.order)
+        })
     }
 }
 

@@ -3,6 +3,7 @@
 use super::{Predictor, Update};
 use crate::error::PredictError;
 use crate::predictor::{typed_forecast, EpochFeatures, EpochObservation};
+use std::sync::OnceLock;
 
 /// One-step EWMA:
 ///
@@ -29,7 +30,7 @@ use crate::predictor::{typed_forecast, EpochFeatures, EpochObservation};
 pub struct Ewma {
     alpha: f64,
     forecast: Option<f64>,
-    name: String,
+    name: OnceLock<String>,
 }
 
 impl Ewma {
@@ -48,7 +49,7 @@ impl Ewma {
         Ewma {
             alpha,
             forecast: None,
-            name: format!("{alpha:.1}-EWMA"),
+            name: OnceLock::new(),
         }
     }
 
@@ -83,7 +84,10 @@ impl Predictor for Ewma {
 
     // lint:hot-path
     fn name(&self) -> &str {
-        &self.name
+        self.name.get_or_init(|| {
+            // lint:allow(hot-path-alloc): formats once, on the first call; cached after
+            format!("{:.1}-EWMA", self.alpha)
+        })
     }
 }
 

@@ -3,6 +3,7 @@
 use super::{Predictor, Update};
 use crate::error::PredictError;
 use crate::predictor::{typed_forecast, EpochFeatures, EpochObservation};
+use std::sync::OnceLock;
 
 /// Non-seasonal Holt-Winters (double exponential smoothing): an EWMA that
 /// additionally tracks the series' linear *trend*.
@@ -43,7 +44,7 @@ pub struct HoltWinters {
     alpha: f64,
     beta: f64,
     state: HwState,
-    name: String,
+    name: OnceLock<String>,
 }
 
 #[derive(Debug, Clone)]
@@ -76,7 +77,7 @@ impl HoltWinters {
             alpha,
             beta,
             state: HwState::Empty,
-            name: format!("{alpha:.1}-HW"),
+            name: OnceLock::new(),
         }
     }
 
@@ -146,7 +147,10 @@ impl Predictor for HoltWinters {
 
     // lint:hot-path
     fn name(&self) -> &str {
-        &self.name
+        self.name.get_or_init(|| {
+            // lint:allow(hot-path-alloc): formats once, on the first call; cached after
+            format!("{:.1}-HW", self.alpha)
+        })
     }
 }
 

@@ -4,6 +4,7 @@ use super::{Predictor, Update};
 use crate::error::PredictError;
 use crate::predictor::{typed_forecast, EpochFeatures, EpochObservation};
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// One-step n-order Moving Average (`n-MA`):
 ///
@@ -37,7 +38,7 @@ pub struct MovingAverage {
     order: usize,
     window: VecDeque<f64>,
     sum: f64,
-    name: String,
+    name: OnceLock<String>,
 }
 
 impl MovingAverage {
@@ -52,7 +53,7 @@ impl MovingAverage {
             order,
             window: VecDeque::with_capacity(order),
             sum: 0.0,
-            name: format!("{order}-MA"),
+            name: OnceLock::new(),
         }
     }
 
@@ -64,6 +65,32 @@ impl MovingAverage {
     /// Number of samples currently in the window (≤ `n`).
     pub fn fill(&self) -> usize {
         self.window.len()
+    }
+
+    /// The forecast this average would give after observing `x`,
+    /// without observing it: the arithmetic of
+    /// [`Predictor::observe`] and then [`Predictor::forecast`], bit for
+    /// bit, without a copy of the window.
+    ///
+    /// ```
+    /// use tputpred_core::hb::{MovingAverage, Predictor};
+    /// let mut ma = MovingAverage::new(2);
+    /// ma.update(1.0);
+    /// ma.update(2.0);
+    /// assert_eq!(ma.forecast_with(4.0), Some(3.0));
+    /// assert_eq!(ma.forecast(), Some(1.5));
+    /// ```
+    pub fn forecast_with(&self, x: f64) -> Option<f64> {
+        debug_assert!(!x.is_nan(), "NaN sample");
+        let len = self.window.len() + 1;
+        let sum = if len >= self.order {
+            // The window fills: `observe` re-sums it in order.
+            let kept = self.window.iter().skip(len - self.order).copied();
+            kept.chain(std::iter::once(x)).sum()
+        } else {
+            self.sum + x
+        };
+        typed_forecast(Some(sum / len.min(self.order) as f64)).ok()
     }
 }
 
@@ -106,7 +133,10 @@ impl Predictor for MovingAverage {
 
     // lint:hot-path
     fn name(&self) -> &str {
-        &self.name
+        self.name.get_or_init(|| {
+            // lint:allow(hot-path-alloc): formats once, on the first call; cached after
+            format!("{}-MA", self.order)
+        })
     }
 }
 

@@ -83,6 +83,7 @@
 use crate::error::PredictError;
 use crate::predictor::{typed_forecast, EpochFeatures, EpochObservation, Predictor, Update};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 use tputpred_obs as obs;
 
 /// Parameters of the LSO heuristics.
@@ -603,7 +604,7 @@ pub struct Lso<P> {
     detector: Detector,
     inner: P,
     all_outliers: Vec<usize>,
-    name: String,
+    name: OnceLock<String>,
     /// The `(absolute_index, value)` samples `inner` was fed since its
     /// last reset, in order; meaningless until `synced`.
     fed: Vec<(usize, f64)>,
@@ -624,12 +625,11 @@ impl<P: Predictor> Lso<P> {
 
     /// Wraps `inner` with explicit thresholds.
     pub fn with_config(inner: P, cfg: LsoConfig) -> Self {
-        let name = format!("{}-LSO", inner.name());
         Lso {
             detector: Detector::new(cfg),
             inner,
             all_outliers: Vec::new(),
-            name,
+            name: OnceLock::new(),
             fed: Vec::with_capacity(RESERVE),
             feed: Vec::with_capacity(RESERVE),
             synced: false,
@@ -758,7 +758,10 @@ impl<P: Predictor> Predictor for Lso<P> {
 
     // lint:hot-path
     fn name(&self) -> &str {
-        &self.name
+        self.name.get_or_init(|| {
+            // lint:allow(hot-path-alloc): formats once, on the first call; cached after
+            format!("{}-LSO", self.inner.name())
+        })
     }
 }
 

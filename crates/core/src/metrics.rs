@@ -53,11 +53,14 @@ pub fn relative_error_floored(predicted: f64, actual: f64) -> f64 {
 ///
 /// Returns `None` for an empty slice.
 pub fn rmsre(errors: &[f64]) -> Option<f64> {
-    if errors.is_empty() {
-        return None;
-    }
-    let sum_sq: f64 = errors.iter().map(|e| e * e).sum();
-    Some((sum_sq / errors.len() as f64).sqrt())
+    rmsre_of(errors.iter().copied())
+}
+
+/// [`rmsre`] over errors as they come, summed in order without
+/// collecting them.
+fn rmsre_of(errors: impl Iterator<Item = f64>) -> Option<f64> {
+    let (n, sum_sq) = errors.fold((0usize, 0.0), |(n, sum_sq), e| (n + 1, sum_sq + e * e));
+    (n > 0).then(|| (sum_sq / n as f64).sqrt())
 }
 
 /// Result of running a predictor over a throughput series.
@@ -82,21 +85,19 @@ impl EvalResult {
     /// Returns `None` when no errors are defined (series shorter than the
     /// predictor's warm-up).
     pub fn rmsre(&self) -> Option<f64> {
-        let kept: Vec<f64> = self
-            .errors
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.outliers.contains(i))
-            .filter_map(|(_, e)| *e)
-            .collect();
-        rmsre(&kept)
+        rmsre_of(
+            self.errors
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !self.outliers.contains(i))
+                .filter_map(|(_, e)| *e),
+        )
     }
 
     /// RMSRE including outlier samples — what a predictor *without*
     /// knowledge of outliers would be scored at.
     pub fn rmsre_including_outliers(&self) -> Option<f64> {
-        let kept: Vec<f64> = self.errors.iter().filter_map(|e| *e).collect();
-        rmsre(&kept)
+        rmsre_of(self.errors.iter().filter_map(|e| *e))
     }
 
     /// Number of samples with a defined prediction.
@@ -184,10 +185,14 @@ pub fn evaluate_gappy<P: Predictor>(predictor: &mut P, series: &[Option<f64>]) -
 /// (apart from the forecasts `evaluate_gappy` clears at gaps); for FB
 /// it reproduces the paper's a-priori FB protocol (§4.1).
 pub fn evaluate_epochs<P: Predictor>(predictor: &mut P, epochs: &[EpochObservation]) -> EvalResult {
-    let mut result = EvalResult::default();
+    let mut result = EvalResult {
+        errors: Vec::with_capacity(epochs.len()),
+        predictions: Vec::with_capacity(epochs.len()),
+        ..EvalResult::default()
+    };
     // History-side event positions count ingested throughput samples;
     // map them back to epoch indices.
-    let mut fed_to_orig: Vec<usize> = Vec::new();
+    let mut fed_to_orig: Vec<usize> = Vec::with_capacity(epochs.len());
     let mut outliers_fed: Vec<usize> = Vec::new();
     let mut shifts_fed: Vec<usize> = Vec::new();
     for (i, epoch) in epochs.iter().enumerate() {

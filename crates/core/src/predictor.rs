@@ -184,8 +184,9 @@ pub(crate) fn typed_forecast(forecast: Option<f64>) -> Result<f64, PredictError>
 ///   [`Update::Skipped`]; see the module docs on gap semantics);
 /// * keep [`Predictor::try_predict`] free of side effects — it may be
 ///   called any number of times (including zero) between observations;
-/// * return a cached name: figure binaries call [`Predictor::name`]
-///   in per-sample label loops.
+/// * return a cached name, formatted at most once: figure binaries
+///   call [`Predictor::name`] in per-sample label loops, and the league
+///   builds predictors by the thousand without asking for one.
 pub trait Predictor {
     /// Forecasts the next transfer's throughput (bits/s) from the
     /// epoch's a-priori features and the accumulated history, or

@@ -30,13 +30,14 @@
 //! stream stays bit-equal to its compacted form; proptested in
 //! `core/tests/family_gap_tolerance.rs`), [`Predictor::try_predict`]
 //! never mutates policy state (breaker transitions happen in
-//! [`Predictor::observe`]), and [`Predictor::name`] is cached at
-//! construction. All state is integer epoch counting on deterministic
-//! inputs: the same observation sequence replays every policy decision
-//! bit-identically.
+//! [`Predictor::observe`]), and [`Predictor::name`] is formatted on its
+//! first call and cached. All state is integer epoch counting on
+//! deterministic inputs: the same observation sequence replays every
+//! policy decision bit-identically.
 
 use crate::error::PredictError;
 use crate::predictor::{EpochFeatures, EpochObservation, Predictor, Update};
+use std::sync::OnceLock;
 use tputpred_obs as obs;
 
 /// Which tier of a [`Fallback`] produced a forecast.
@@ -115,18 +116,17 @@ impl Predictor for LastKnownGood {
 pub struct Fallback<P, Q> {
     primary: P,
     fallback: Q,
-    name: String,
+    name: OnceLock<String>,
 }
 
 impl<P: Predictor, Q: Predictor> Fallback<P, Q> {
     /// Chains `primary` over `fallback`. The combinator's name is
-    /// `"{primary}->{fallback}"`, built once here.
+    /// `"{primary}->{fallback}"`.
     pub fn new(primary: P, fallback: Q) -> Self {
-        let name = format!("{}->{}", primary.name(), fallback.name());
         Fallback {
             primary,
             fallback,
-            name,
+            name: OnceLock::new(),
         }
     }
 
@@ -200,7 +200,10 @@ impl<P: Predictor, Q: Predictor> Predictor for Fallback<P, Q> {
 
     // lint:hot-path
     fn name(&self) -> &str {
-        &self.name
+        self.name.get_or_init(|| {
+            // lint:allow(hot-path-alloc): formats once, on the first call; cached after
+            format!("{}->{}", self.primary.name(), self.fallback.name())
+        })
     }
 }
 
@@ -222,7 +225,7 @@ pub struct Staleness<P> {
     /// Non-gap epochs since the last measured throughput; `None` until
     /// one is measured.
     age: Option<usize>,
-    name: String,
+    name: OnceLock<String>,
 }
 
 impl<P: Predictor> Staleness<P> {
@@ -231,12 +234,11 @@ impl<P: Predictor> Staleness<P> {
     /// always). The name is `"stale{N}-{inner}"`.
     pub fn new(inner: P, max_age: usize) -> Self {
         let max_age = max_age.max(1);
-        let name = format!("stale{}-{}", max_age, inner.name());
         Staleness {
             inner,
             max_age,
             age: None,
-            name,
+            name: OnceLock::new(),
         }
     }
 
@@ -277,7 +279,10 @@ impl<P: Predictor> Predictor for Staleness<P> {
 
     // lint:hot-path
     fn name(&self) -> &str {
-        &self.name
+        self.name.get_or_init(|| {
+            // lint:allow(hot-path-alloc): formats once, on the first call; cached after
+            format!("stale{}-{}", self.max_age, self.inner.name())
+        })
     }
 }
 
@@ -323,7 +328,7 @@ pub struct CircuitBreaker<P> {
     state: BreakerState,
     consecutive_refusals: usize,
     cooldown_left: usize,
-    name: String,
+    name: OnceLock<String>,
 }
 
 impl<P: Predictor> CircuitBreaker<P> {
@@ -332,7 +337,6 @@ impl<P: Predictor> CircuitBreaker<P> {
     /// knobs are floored at 1. The name is `"breaker{K}-{inner}"`.
     pub fn new(inner: P, trip_after: usize, cooldown: usize) -> Self {
         let trip_after = trip_after.max(1);
-        let name = format!("breaker{}-{}", trip_after, inner.name());
         CircuitBreaker {
             inner,
             trip_after,
@@ -340,7 +344,7 @@ impl<P: Predictor> CircuitBreaker<P> {
             state: BreakerState::Closed,
             consecutive_refusals: 0,
             cooldown_left: 0,
-            name,
+            name: OnceLock::new(),
         }
     }
 
@@ -415,7 +419,10 @@ impl<P: Predictor> Predictor for CircuitBreaker<P> {
 
     // lint:hot-path
     fn name(&self) -> &str {
-        &self.name
+        self.name.get_or_init(|| {
+            // lint:allow(hot-path-alloc): formats once, on the first call; cached after
+            format!("breaker{}-{}", self.trip_after, self.inner.name())
+        })
     }
 }
 

@@ -20,7 +20,6 @@ use crate::packet::Packet;
 use crate::time::Time;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use tputpred_stats::Summary;
 
 /// Active queue management at the link.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -129,8 +128,52 @@ pub struct LinkStats {
     pub offered: u64,
     /// Total time the serializer was busy.
     pub busy: Time,
-    /// Queueing delay (enqueue → start of serialization) statistics.
-    pub queue_delay: Summary,
+    /// Queueing delay (enqueue → start of serialization) of every
+    /// packet that started serialization.
+    pub queue_delay: DelayTally,
+}
+
+/// Delays tallied exactly, in integer nanoseconds: how many, their sum
+/// and the largest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct DelayTally {
+    count: u64,
+    total_ns: u64,
+    max_ns: u64,
+}
+
+impl DelayTally {
+    // lint:hot-path
+    fn record(&mut self, delay: Time) {
+        let ns = delay.as_nanos();
+        self.count += 1;
+        self.total_ns += ns;
+        self.max_ns = self.max_ns.max(ns);
+    }
+
+    /// Number of delays recorded.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Sum of the delays.
+    pub fn total(&self) -> Time {
+        Time::from_nanos(self.total_ns)
+    }
+
+    /// Largest delay; zero when none was recorded.
+    pub fn max(&self) -> Time {
+        Time::from_nanos(self.max_ns)
+    }
+
+    /// Mean delay in seconds; 0.0 when none was recorded.
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.total().as_secs_f64() / self.count as f64
+        }
+    }
 }
 
 impl LinkStats {
@@ -311,8 +354,7 @@ impl Link {
     pub fn begin_tx(&mut self, packet: &Packet, now: Time) -> Time {
         debug_assert!(!self.busy, "begin_tx on a busy link");
         self.busy = true;
-        // lint:allow(hot-path-alloc): Summary::push is constant-size streaming arithmetic, no heap
-        self.stats.queue_delay.push(0.0);
+        self.stats.queue_delay.record(Time::ZERO);
         self.cur_tx = self.tx_time_cached(packet.size);
         now + self.cur_tx
     }
@@ -331,9 +373,7 @@ impl Link {
         if let Some(next) = self.queue.pop_front() {
             self.queued_bytes -= next.packet.size;
             self.busy = true;
-            let delay_s = (now - next.enqueued_at).as_secs_f64();
-            // lint:allow(hot-path-alloc): Summary::push is constant-size streaming arithmetic
-            self.stats.queue_delay.push(delay_s);
+            self.stats.queue_delay.record(now - next.enqueued_at);
             self.cur_tx = self.tx_time_cached(next.packet.size);
             let done = now + self.cur_tx;
             Some((next.packet, done))
@@ -436,8 +476,12 @@ mod tests {
         l.begin_tx(&p, Time::ZERO);
         l.offer(pkt(1000), Time::ZERO);
         l.finish_tx(&p, Time::from_millis(1));
-        // Second packet waited 1 ms.
-        assert!((l.stats().queue_delay.max() - 0.001).abs() < 1e-9);
+        // Second packet waited 1 ms, the first not at all.
+        let delays = l.stats().queue_delay;
+        assert_eq!(delays.count(), 2);
+        assert_eq!(delays.max(), Time::from_millis(1));
+        assert_eq!(delays.total(), Time::from_millis(1));
+        assert_eq!(delays.mean(), 0.0005);
     }
 
     #[test]

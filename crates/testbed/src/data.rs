@@ -282,7 +282,7 @@ impl Dataset {
     /// materialized — each payload is dropped before the next one
     /// loads, so a 10 000-path preset costs O(one path) resident memory
     /// (DESIGN.md §15); `runner::load_or_generate_sharded` is this walk
-    /// plus a collect.
+    /// plus a collect of the paths, moved rather than copied.
     ///
     /// One classify → regenerate → visit cycle:
     ///
@@ -320,6 +320,26 @@ impl Dataset {
     where
         G: Fn(usize) -> PathData + Sync,
         V: FnMut(usize, &PathData) -> io::Result<()>,
+    {
+        Self::walk_shards(dir, preset, catalog, regenerate_one, |id, path| {
+            visit(id, &path)
+        })
+    }
+
+    /// The walk of [`Dataset::for_each_path_sharded`], handing each
+    /// path to `visit` by value, so a caller that keeps the paths
+    /// (`runner::load_or_generate_sharded`) moves them instead of
+    /// copying them.
+    pub(crate) fn walk_shards<G, V>(
+        dir: &FsPath,
+        preset: &Preset,
+        catalog: &[PathConfig],
+        regenerate_one: G,
+        mut visit: V,
+    ) -> io::Result<ShardStats>
+    where
+        G: Fn(usize) -> PathData + Sync,
+        V: FnMut(usize, PathData) -> io::Result<()>,
     {
         fs::create_dir_all(dir)?;
         sweep_stale_temps(dir);
@@ -386,7 +406,7 @@ impl Dataset {
                     fresh
                 }
             };
-            visit(id, &path)?;
+            visit(id, path)?;
         }
         Ok(stats)
     }

@@ -514,9 +514,9 @@ pub fn generate(preset: &Preset) -> Dataset {
 }
 
 /// Loads `preset`'s dataset from the sharded cache at `dir`
-/// (`data/<preset>/`): one [`for_each_path`] walk — which regenerates
+/// (`data/<preset>/`): the walk of [`for_each_path`] — which regenerates
 /// only the stale, missing, or corrupt shards — with every visited path
-/// cloned into the merged [`Dataset`]. Returns that dataset — bit
+/// moved into the merged [`Dataset`]. Returns that dataset — bit
 /// identical to [`generate`] — and the shard reuse counts. Telemetry is
 /// [`for_each_path`]'s.
 pub fn load_or_generate_sharded(
@@ -524,8 +524,8 @@ pub fn load_or_generate_sharded(
     preset: &Preset,
 ) -> std::io::Result<(Dataset, crate::data::ShardStats)> {
     let mut paths = Vec::new();
-    let stats = for_each_path(dir, preset, |_, path| {
-        paths.push(path.clone());
+    let stats = walk_paths(dir, preset, |_, path| {
+        paths.push(path);
         Ok(())
     })?;
     let dataset = Dataset {
@@ -577,9 +577,21 @@ pub fn for_each_path<V>(
 where
     V: FnMut(usize, &PathData) -> std::io::Result<()>,
 {
+    walk_paths(dir, preset, |id, path| visit(id, &path))
+}
+
+/// The walk of [`for_each_path`], handing each path to `visit` by value.
+fn walk_paths<V>(
+    dir: &std::path::Path,
+    preset: &Preset,
+    mut visit: V,
+) -> std::io::Result<crate::data::ShardStats>
+where
+    V: FnMut(usize, PathData) -> std::io::Result<()>,
+{
     let mut scope = obs::timer!("testbed.shard_cache_wall").start();
     let catalog = catalog_for(preset);
-    let result = Dataset::for_each_path_sharded(
+    let result = Dataset::walk_shards(
         dir,
         preset,
         &catalog,
