@@ -42,6 +42,12 @@ pub struct ArPredictor {
     capacity: usize,
     /// Minimum samples before fitting (below this: window-mean fallback).
     min_history: usize,
+    /// The forecast of the model fit to the current window.
+    forecast: Option<f64>,
+    /// Fitting buffers, kept so a refit allocates nothing: the
+    /// autocovariances `r[0..=p]` and the coefficients `φ[0..p]`.
+    r: Vec<f64>,
+    phi: Vec<f64>,
     name: OnceLock<String>,
 }
 
@@ -65,6 +71,9 @@ impl ArPredictor {
             window: VecDeque::with_capacity(capacity),
             capacity,
             min_history: 3 * order,
+            forecast: None,
+            r: Vec::with_capacity(order + 1),
+            phi: Vec::with_capacity(order),
             name: OnceLock::new(),
         }
     }
@@ -87,13 +96,14 @@ impl ArPredictor {
     }
 
     /// Levinson-Durbin recursion: solves the Yule-Walker equations for
-    /// the AR coefficients given autocovariances `r[0..=p]`.
-    fn levinson_durbin(r: &[f64]) -> Vec<f64> {
+    /// the AR coefficients `a` given autocovariances `r[0..=p]`.
+    fn levinson_durbin(r: &[f64], a: &mut Vec<f64>) {
         let p = r.len() - 1;
-        let mut a = vec![0.0; p];
+        a.clear();
+        a.resize(p, 0.0);
         let mut e = r[0];
         if e <= 0.0 {
-            return a; // constant series: all coefficients zero
+            return; // constant series: all coefficients zero
         }
         for k in 0..p {
             let mut acc = r[k + 1];
@@ -116,47 +126,38 @@ impl ArPredictor {
                 break;
             }
         }
-        a
     }
 
-    fn fit_and_forecast(&self) -> Option<f64> {
-        // The window is read in place while it is one slice, which it
-        // is until it first wraps.
-        let wrapped: Vec<f64>;
-        let xs = match self.window.as_slices() {
-            (xs, []) => xs,
-            _ => {
-                wrapped = self.window.iter().copied().collect();
-                &wrapped
+    /// Refits the model to the window, which holds at least one sample,
+    /// and caches its forecast.
+    fn refit(&mut self) {
+        let xs: &[f64] = self.window.make_contiguous();
+        self.forecast = 'fit: {
+            let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+            if xs.len() < self.min_history {
+                break 'fit Some(mean);
             }
+            let p = self.order.min(xs.len() / 3);
+            self.r.clear();
+            self.r
+                .extend((0..=p).map(|lag| Self::autocovariance(xs, mean, lag)));
+            if self.r[0] <= f64::EPSILON * mean.abs().max(1.0) {
+                break 'fit Some(mean); // (near-)constant series
+            }
+            Self::levinson_durbin(&self.r, &mut self.phi);
+            let mut forecast = mean;
+            for (i, &coeff) in self.phi.iter().enumerate() {
+                let x = xs[xs.len() - 1 - i];
+                forecast += coeff * (x - mean);
+            }
+            Some(forecast)
         };
-        if xs.is_empty() {
-            return None;
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        if xs.len() < self.min_history {
-            return Some(mean);
-        }
-        let p = self.order.min(xs.len() / 3);
-        let r: Vec<f64> = (0..=p)
-            .map(|lag| Self::autocovariance(&xs, mean, lag))
-            .collect();
-        if r[0] <= f64::EPSILON * mean.abs().max(1.0) {
-            return Some(mean); // (near-)constant series
-        }
-        let phi = Self::levinson_durbin(&r);
-        let mut forecast = mean;
-        for (i, &coeff) in phi.iter().enumerate() {
-            let x = xs[xs.len() - 1 - i];
-            forecast += coeff * (x - mean);
-        }
-        Some(forecast)
     }
 }
 
 impl Predictor for ArPredictor {
     fn try_predict(&self, _features: &EpochFeatures) -> Result<f64, PredictError> {
-        typed_forecast(self.fit_and_forecast())
+        typed_forecast(self.forecast)
     }
 
     fn observe(&mut self, epoch: &EpochObservation) -> Update {
@@ -168,11 +169,13 @@ impl Predictor for ArPredictor {
             self.window.pop_front();
         }
         self.window.push_back(x);
+        self.refit();
         Update::Accepted
     }
 
     fn reset(&mut self) {
         self.window.clear();
+        self.forecast = None;
     }
 
     // lint:hot-path
@@ -244,7 +247,8 @@ mod tests {
     fn levinson_durbin_matches_direct_solution_for_ar1() {
         // For AR(1): phi = r1/r0.
         let r = [2.0, 1.2];
-        let phi = ArPredictor::levinson_durbin(&r);
+        let mut phi = Vec::new();
+        ArPredictor::levinson_durbin(&r, &mut phi);
         assert!((phi[0] - 0.6).abs() < 1e-12);
     }
 
@@ -254,7 +258,8 @@ mod tests {
         //   r1 = phi1 r0 + phi2 r1
         //   r2 = phi1 r1 + phi2 r0
         let (r0, r1, r2) = (1.0, 0.5, 0.4);
-        let phi = ArPredictor::levinson_durbin(&[r0, r1, r2]);
+        let mut phi = Vec::new();
+        ArPredictor::levinson_durbin(&[r0, r1, r2], &mut phi);
         let e1 = (phi[0] * r0 + phi[1] * r1 - r1).abs();
         let e2 = (phi[0] * r1 + phi[1] * r0 - r2).abs();
         assert!(e1 < 1e-12 && e2 < 1e-12, "phi = {phi:?}");

@@ -19,6 +19,17 @@
 //!   paper cites (ref. \[21\]): exponentially spaced chirp trains with
 //!   excursion-point analysis; `abl_availbw` compares it against
 //!   pathload as an FB input.
+//!
+//! ## Retention
+//!
+//! A probe keeps only what it has yet to evaluate, so a trace's probe
+//! memory is proportional to one epoch, not to the trace (DESIGN.md
+//! §14, "Per-trace memory"). Pathload and pathChirp take a stream's or
+//! chirp's one-way delays out of their log when they evaluate it;
+//! probes that land later fall into the emptied entry, which nothing
+//! reads. [`ping::PingStats`] keeps its records until
+//! [`ping::PingStats::forget_before`] drops them: a caller summarizes a
+//! window first and forgets it after, and the totals stay exact.
 
 pub mod iperf;
 pub mod pathchirp;

@@ -16,7 +16,7 @@
 //! average. The probing traffic itself — exponentially spaced small UDP
 //! packets through the real queue — is simulated faithfully.
 
-use crate::pathload::{OwdLog, OwdSink};
+use crate::pathload::{take_samples, OwdLog, OwdSink};
 use std::cell::RefCell;
 use std::rc::Rc;
 use tputpred_netsim::{
@@ -175,20 +175,31 @@ impl PathChirp {
         route: Route,
         start: Time,
     ) -> PathChirpHandle {
+        Self::install(sim, config, route, start).0
+    }
+
+    /// [`PathChirp::deploy`], also returning the OWD log the prober
+    /// evaluates.
+    pub(crate) fn install(
+        sim: &mut Simulator,
+        config: PathChirpConfig,
+        route: Route,
+        start: Time,
+    ) -> (PathChirpHandle, OwdLog) {
         let (sink_id, owds) = OwdSink::deploy(sim);
         let result = PathChirpHandle::default();
         let prober = PathChirp {
             config,
             route,
             dst: sink_id,
-            owds,
+            owds: Rc::clone(&owds),
             result: Rc::clone(&result),
             chirp_idx: 0,
             pkt_idx: 0,
         };
         let id = sim.add_endpoint(Box::new(prober));
         sim.schedule_timer(id, TOKEN_SEND, start);
-        result
+        (result, owds)
     }
 }
 
@@ -222,12 +233,7 @@ impl Endpoint for PathChirp {
                 }
             }
             TOKEN_EVAL => {
-                let samples = {
-                    let log = self.owds.borrow();
-                    log.get(self.chirp_idx as usize)
-                        .cloned()
-                        .unwrap_or_default()
-                };
+                let samples = take_samples(&self.owds, self.chirp_idx);
                 let estimate =
                     chirp_estimate(&self.config, &samples, self.config.packets_per_chirp);
                 {
@@ -255,7 +261,10 @@ mod tests {
     use tputpred_netsim::sources::{PoissonSource, Sink, SourceConfig};
     use tputpred_netsim::RateSchedule;
 
-    fn measure(capacity: f64, cross: f64, seed: u64) -> f64 {
+    /// Runs a measurement to completion on a `capacity` link carrying
+    /// `cross` bits/s of Poisson cross traffic; returns the estimate and
+    /// the OWD log.
+    fn run(capacity: f64, cross: f64, seed: u64) -> (f64, OwdLog) {
         let mut sim = Simulator::new(seed);
         let fwd = sim.add_link(LinkConfig::new(capacity, Time::from_millis(20), 170));
         if cross > 0.0 {
@@ -275,11 +284,16 @@ mod tests {
             max_rate: capacity * 1.5,
             ..PathChirpConfig::default()
         };
-        let handle = PathChirp::deploy(&mut sim, config, Route::direct(fwd), Time::from_secs(2));
+        let (handle, log) =
+            PathChirp::install(&mut sim, config, Route::direct(fwd), Time::from_secs(2));
         sim.run_until(Time::from_secs(30));
         let r = handle.borrow();
         assert!(r.done, "chirp train must complete");
-        r.estimate.unwrap()
+        (r.estimate.unwrap(), log)
+    }
+
+    fn measure(capacity: f64, cross: f64, seed: u64) -> f64 {
+        run(capacity, cross, seed).0
     }
 
     #[test]
@@ -374,5 +388,24 @@ mod tests {
     #[test]
     fn measurement_is_deterministic() {
         assert_eq!(measure(10e6, 4e6, 54), measure(10e6, 4e6, 54));
+    }
+
+    #[test]
+    fn evaluated_chirps_leave_no_samples_behind() {
+        // Estimate bits as the copying evaluation produced them, on the
+        // worlds of the tests above.
+        let worlds = [
+            (10e6, 0.0, 51, 0x4164_7c4f_fad3_5c2d_u64),
+            (10e6, 5e6, 52, 0x4149_7431_5622_7ffd),
+            (10e6, 8e6, 53, 0x412a_c324_1c5c_8424),
+            (10e6, 4e6, 54, 0x4155_0168_a4b8_b9ce),
+        ];
+        for (capacity, cross, seed, bits) in worlds {
+            let (estimate, log) = run(capacity, cross, seed);
+            assert_eq!(estimate.to_bits(), bits, "x = {cross}");
+            let log = log.borrow();
+            assert_eq!(log.len(), PathChirpConfig::default().chirps as usize);
+            assert!(log.iter().all(Vec::is_empty), "x = {cross}: samples kept");
+        }
     }
 }

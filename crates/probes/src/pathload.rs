@@ -110,6 +110,17 @@ pub type PathloadHandle = Rc<RefCell<PathloadResult>>;
 /// [`OwdSink`].
 pub(crate) type OwdLog = Rc<RefCell<Vec<Vec<(u64, Time)>>>>;
 
+/// Takes stream `stream`'s samples out of `log` for evaluation, leaving
+/// its entry empty: an evaluated stream holds nothing for the rest of
+/// the trace. Probes that arrive later land in the emptied entry, which
+/// nothing reads.
+pub(crate) fn take_samples(log: &OwdLog, stream: u32) -> Vec<(u64, Time)> {
+    log.borrow_mut()
+        .get_mut(stream as usize)
+        .map(std::mem::take)
+        .unwrap_or_default()
+}
+
 /// The verdict of one stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Trend {
@@ -117,8 +128,9 @@ enum Trend {
     NotIncreasing,
 }
 
-/// PCT/PDT trend detection over a stream's (seq, OWD) samples.
-fn detect_trend(samples: &[(u64, Time)], sent: u32) -> Trend {
+/// PCT/PDT trend detection over a stream's (seq, OWD) samples, which
+/// it sorts in place by sequence number.
+fn detect_trend(samples: &mut [(u64, Time)], sent: u32) -> Trend {
     // Loss within the stream is overload evidence: a rate below the
     // avail-bw leaves the queue with room for 200-byte probes, so even a
     // few percent of in-stream loss means the trial rate (plus cross
@@ -129,11 +141,8 @@ fn detect_trend(samples: &[(u64, Time)], sent: u32) -> Trend {
     if samples.len() < 8 {
         return Trend::NotIncreasing;
     }
-    let mut owds: Vec<f64> = {
-        let mut s = samples.to_vec();
-        s.sort_by_key(|&(seq, _)| seq);
-        s.iter().map(|&(_, d)| d.as_secs_f64()).collect()
-    };
+    samples.sort_by_key(|&(seq, _)| seq);
+    let mut owds: Vec<f64> = samples.iter().map(|&(_, d)| d.as_secs_f64()).collect();
     let n = owds.len();
     let groups = (n as f64).sqrt().ceil() as usize;
     let per = n / groups;
@@ -259,6 +268,17 @@ impl Pathload {
         route: Route,
         start: Time,
     ) -> PathloadHandle {
+        Self::install(sim, config, route, start).0
+    }
+
+    /// [`Pathload::deploy`], also returning the OWD log the prober
+    /// evaluates.
+    pub(crate) fn install(
+        sim: &mut Simulator,
+        config: PathloadConfig,
+        route: Route,
+        start: Time,
+    ) -> (PathloadHandle, OwdLog) {
         let (sink_id, owds) = OwdSink::deploy(sim);
         let result = PathloadHandle::default();
         // The grow phase starts a few doublings below max_rate rather
@@ -271,7 +291,7 @@ impl Pathload {
             config,
             route,
             dst: sink_id,
-            owds,
+            owds: Rc::clone(&owds),
             result: Rc::clone(&result),
             phase: Phase::Grow { last_good: None },
             stream_idx: 0,
@@ -283,7 +303,7 @@ impl Pathload {
         prober.stream_pkts = prober.packets_for_rate();
         let prober_id = sim.add_endpoint(Box::new(prober));
         sim.schedule_timer(prober_id, TOKEN_SEND, start);
-        result
+        (result, owds)
     }
 
     fn finish(&mut self, estimate: f64) {
@@ -424,13 +444,8 @@ impl Endpoint for Pathload {
                 }
             }
             TOKEN_EVAL => {
-                let samples = {
-                    let log = self.owds.borrow();
-                    log.get(self.stream_idx as usize)
-                        .cloned()
-                        .unwrap_or_default()
-                };
-                let trend = detect_trend(&samples, self.stream_pkts);
+                let mut samples = take_samples(&self.owds, self.stream_idx);
+                let trend = detect_trend(&mut samples, self.stream_pkts);
                 self.verdicts.push(trend);
                 self.stream_idx += 1;
                 if (self.verdicts.len() as u32) < self.config.streams_per_rate
@@ -453,37 +468,53 @@ impl Endpoint for Pathload {
 mod tests {
     use super::*;
     use tputpred_netsim::link::LinkConfig;
-    use tputpred_netsim::sources::{PoissonSource, Sink, SourceConfig};
+    use tputpred_netsim::sources::{CbrSource, PoissonSource, Sink, SourceConfig};
     use tputpred_netsim::{RateSchedule, Simulator};
 
-    /// Runs a measurement on a `capacity` link carrying `cross` bits/s of
-    /// Poisson cross traffic; returns the estimate.
-    fn measure(capacity: f64, cross: f64, seed: u64) -> f64 {
+    /// Runs a measurement to completion on a `capacity` link carrying
+    /// `cross` bits/s of Poisson cross traffic (170-packet buffer,
+    /// probing from 2 s) or, with `cbr`, of constant-rate cross traffic
+    /// (the oracle test's world: 100-packet buffer, probing from 0 s).
+    /// Returns the result and the OWD log.
+    fn run(capacity: f64, cross: f64, cbr: bool, seed: u64) -> (PathloadResult, OwdLog) {
         let mut sim = Simulator::new(seed);
-        let fwd = sim.add_link(LinkConfig::new(capacity, Time::from_millis(20), 170));
+        let buffer = if cbr { 100 } else { 170 };
+        let fwd = sim.add_link(LinkConfig::new(capacity, Time::from_millis(20), buffer));
         if cross > 0.0 {
             let (sink, _) = Sink::new();
             let sink_id = sim.add_endpoint(Box::new(sink));
-            let src = PoissonSource::new(SourceConfig {
+            let config = SourceConfig {
                 route: Route::direct(fwd),
                 dst: sink_id,
                 packet_size: 1000,
                 base_rate_bps: cross,
                 schedule: RateSchedule::constant(1.0),
                 stop: Time::MAX,
-            });
-            sim.add_source(src, Time::ZERO);
+            };
+            if cbr {
+                sim.add_source(CbrSource::new(config), Time::ZERO);
+            } else {
+                sim.add_source(PoissonSource::new(config), Time::ZERO);
+            }
         }
-        // Let the cross traffic reach steady state first.
-        let handle = Pathload::deploy(
+        // Let Poisson cross traffic reach steady state first.
+        let start = if cbr { Time::ZERO } else { Time::from_secs(2) };
+        let (handle, log) = Pathload::install(
             &mut sim,
             PathloadConfig::default(),
             Route::direct(fwd),
-            Time::from_secs(2),
+            start,
         );
         sim.run_until(Time::from_secs(120));
-        let r = handle.borrow();
+        let r = *handle.borrow();
         assert!(r.done, "search must converge within the horizon");
+        (r, log)
+    }
+
+    /// Runs a measurement on a `capacity` link carrying `cross` bits/s of
+    /// Poisson cross traffic; returns the estimate.
+    fn measure(capacity: f64, cross: f64, seed: u64) -> f64 {
+        let (r, _) = run(capacity, cross, false, seed);
         r.estimate.expect("estimate present when done")
     }
 
@@ -529,54 +560,91 @@ mod tests {
 
     #[test]
     fn trend_detector_flags_monotone_owds() {
-        let samples: Vec<(u64, Time)> = (0..60)
+        let mut samples: Vec<(u64, Time)> = (0..60)
             .map(|i| (i, Time::from_micros(1000 + 50 * i)))
             .collect();
-        assert_eq!(detect_trend(&samples, 60), Trend::Increasing);
+        assert_eq!(detect_trend(&mut samples, 60), Trend::Increasing);
     }
 
     #[test]
     fn trend_detector_accepts_flat_owds() {
-        let samples: Vec<(u64, Time)> = (0..60).map(|i| (i, Time::from_micros(1000))).collect();
-        assert_eq!(detect_trend(&samples, 60), Trend::NotIncreasing);
+        let mut samples: Vec<(u64, Time)> = (0..60).map(|i| (i, Time::from_micros(1000))).collect();
+        assert_eq!(detect_trend(&mut samples, 60), Trend::NotIncreasing);
     }
 
     #[test]
     fn trend_detector_ignores_noise_without_trend() {
-        let samples: Vec<(u64, Time)> = (0..60)
+        let mut samples: Vec<(u64, Time)> = (0..60)
             .map(|i| (i, Time::from_micros(1000 + (i * 7919) % 200)))
             .collect();
-        assert_eq!(detect_trend(&samples, 60), Trend::NotIncreasing);
+        assert_eq!(detect_trend(&mut samples, 60), Trend::NotIncreasing);
     }
 
     #[test]
     fn heavy_stream_loss_reads_as_overload() {
-        let samples: Vec<(u64, Time)> = (0..20).map(|i| (i, Time::from_micros(1000))).collect();
-        assert_eq!(detect_trend(&samples, 60), Trend::Increasing);
+        let mut samples: Vec<(u64, Time)> = (0..20).map(|i| (i, Time::from_micros(1000))).collect();
+        assert_eq!(detect_trend(&mut samples, 60), Trend::Increasing);
     }
 
     #[test]
     fn slight_stream_loss_also_reads_as_overload() {
         // 56/60 delivered (6.7% loss): above the 5% gate.
-        let samples: Vec<(u64, Time)> = (0..56).map(|i| (i, Time::from_micros(1000))).collect();
-        assert_eq!(detect_trend(&samples, 60), Trend::Increasing);
+        let mut samples: Vec<(u64, Time)> = (0..56).map(|i| (i, Time::from_micros(1000))).collect();
+        assert_eq!(detect_trend(&mut samples, 60), Trend::Increasing);
     }
 
     #[test]
     fn plateaued_queue_reads_as_overload() {
         // OWDs ramp for the first third, then sit at the buffer ceiling:
         // PCT is low (flat majority) but the net drift dominates.
-        let samples: Vec<(u64, Time)> = (0..60)
+        let mut samples: Vec<(u64, Time)> = (0..60)
             .map(|i| {
                 let owd = if i < 20 { 1000 + 800 * i } else { 17_000 };
                 (i, Time::from_micros(owd))
             })
             .collect();
-        assert_eq!(detect_trend(&samples, 60), Trend::Increasing);
+        assert_eq!(detect_trend(&mut samples, 60), Trend::Increasing);
     }
 
     #[test]
     fn measurement_is_deterministic() {
         assert_eq!(measure(10e6, 5e6, 77), measure(10e6, 5e6, 77));
+    }
+
+    #[test]
+    fn evaluated_streams_leave_no_samples_behind() {
+        // Estimate bits as the copying evaluation produced them: the
+        // Poisson worlds of the tests above and the CBR worlds of
+        // `tests/oracles.rs`.
+        let worlds = [
+            (10e6, 0.0, false, 31, 0x4162_a05f_2000_0000_u64),
+            (10e6, 5e6, false, 32, 0x4155_9b4f_a000_0000),
+            (10e6, 9e6, false, 33, 0x413f_8e00_c000_0000),
+            (1e6, 0.0, false, 34, 0x412d_6295_4000_0000),
+            (10e6, 0.0, true, 11, 0x4162_a05f_2000_0000),
+            (10e6, 2e6, true, 11, 0x415f_4add_4000_0000),
+            (10e6, 5e6, true, 11, 0x4152_a05f_2000_0000),
+            (10e6, 8e6, true, 11, 0x413f_8e00_c000_0000),
+            (100e6, 40e6, true, 11, 0x418c_4fec_c000_0000),
+            (1e6, 0.5e6, true, 11, 0x411e_e935_4000_0000),
+        ];
+        for (capacity, cross, cbr, seed, bits) in worlds {
+            let (r, log) = run(capacity, cross, cbr, seed);
+            let label = format!("C = {capacity}, x = {cross}, cbr = {cbr}");
+            assert_eq!(r.estimate.map(f64::to_bits), Some(bits), "{label}");
+            let log = log.borrow();
+            assert!(!log.is_empty(), "{label}: probes arrived");
+            assert!(log.len() <= r.streams_used as usize, "{label}");
+            // Only stragglers remain: probes that landed after their
+            // stream was evaluated, so later than `eval_wait` after the
+            // stream's last send.
+            let eval_wait = PathloadConfig::default().eval_wait;
+            let late = log.iter().flatten().filter(|&&(_, owd)| owd > eval_wait);
+            assert_eq!(
+                late.count(),
+                log.iter().map(Vec::len).sum::<usize>(),
+                "{label}: evaluated samples kept"
+            );
+        }
     }
 }

@@ -14,9 +14,22 @@ struct ProbeRecord {
 }
 
 /// Accumulated probe records, shared with the experiment driver.
+///
+/// Records are kept until [`PingStats::forget_before`] drops them, so a
+/// caller that summarizes each window once can hold its memory to one
+/// window: summarize, then forget. The totals ([`PingStats::total_sent`],
+/// [`PingStats::replies_lost`]) stay exact across forgetting.
 #[derive(Debug, Default)]
 pub struct PingStats {
+    /// Retained records in send order; `records[i]` is probe `base + i`.
     records: Vec<ProbeRecord>,
+    /// Sequence number of the oldest retained record: every probe
+    /// before it has been forgotten.
+    base: u64,
+    /// Forgotten probes whose echo had not come back when they were
+    /// forgotten, less the late echoes that have come back since. Each
+    /// probe is echoed at most once.
+    forgotten_unanswered: usize,
 }
 
 /// RTT/loss summary over a probing window: the `(T̂, p̂)` or `(T̃, p̃)`
@@ -117,17 +130,52 @@ impl PingStats {
         }
     }
 
-    /// Total probes recorded.
+    /// Total probes recorded, forgotten ones included.
     pub fn total_sent(&self) -> usize {
-        self.records.len()
+        self.base as usize + self.records.len()
     }
 
     /// Probes whose echo never came back (replies lost, in-flight
-    /// replies included until they land). Telemetry reads this once a
-    /// trace is over; it is not a per-window loss estimate — use
-    /// [`PingStats::summarize`] for that.
+    /// replies included until they land), forgotten ones included.
+    /// Telemetry reads this once a trace is over; it is not a per-window
+    /// loss estimate — use [`PingStats::summarize`] for that.
     pub fn replies_lost(&self) -> usize {
-        self.records.iter().filter(|r| r.rtt.is_none()).count()
+        self.forgotten_unanswered + self.records.iter().filter(|r| r.rtt.is_none()).count()
+    }
+
+    /// Drops the records of probes sent before `t`, keeping the totals
+    /// exact: an echo that lands later for a dropped probe still counts
+    /// as answered. Summaries of windows that reach before `t` no
+    /// longer see the dropped probes, so summarize a window first and
+    /// forget it after.
+    pub fn forget_before(&mut self, t: Time) {
+        let n = self.records.partition_point(|r| r.sent_at < t);
+        self.forgotten_unanswered += self.records[..n].iter().filter(|r| r.rtt.is_none()).count();
+        self.records.drain(..n);
+        self.base += n as u64;
+    }
+
+    /// Records a probe sent at `at`; returns its sequence number.
+    fn record_send(&mut self, at: Time) -> u64 {
+        self.records.push(ProbeRecord {
+            sent_at: at,
+            rtt: None,
+        });
+        self.total_sent() as u64 - 1
+    }
+
+    /// Records the echo of probe `seq`, sent at `sent_at`, after a round
+    /// trip of `rtt`.
+    fn record_echo(&mut self, seq: u64, sent_at: Time, rtt: Time) {
+        let Some(i) = seq.checked_sub(self.base) else {
+            // A late echo of a forgotten probe.
+            self.forgotten_unanswered = self.forgotten_unanswered.saturating_sub(1);
+            return;
+        };
+        if let Some(rec) = self.records.get_mut(i as usize) {
+            assert_eq!(rec.sent_at, sent_at, "echo timestamp mismatch");
+            rec.rtt = Some(rtt);
+        }
     }
 }
 
@@ -144,7 +192,6 @@ pub struct PingProber {
     interval: Time,
     stop: Time,
     probe_size: u32,
-    next_seq: u64,
     stats: PingStatsHandle,
 }
 
@@ -169,7 +216,6 @@ impl PingProber {
                 interval,
                 stop,
                 probe_size: Self::PROBE_SIZE,
-                next_seq: 0,
                 stats: Rc::clone(&stats),
             },
             stats,
@@ -181,11 +227,10 @@ impl Endpoint for PingProber {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: Packet) {
         if let Payload::Probe(meta) = packet.payload {
             if meta.is_reply {
-                let mut stats = self.stats.borrow_mut();
-                if let Some(rec) = stats.records.get_mut(meta.seq as usize) {
-                    assert_eq!(rec.sent_at, meta.sent_at, "echo timestamp mismatch");
-                    rec.rtt = Some(ctx.now.saturating_sub(meta.sent_at));
-                }
+                let rtt = ctx.now.saturating_sub(meta.sent_at);
+                self.stats
+                    .borrow_mut()
+                    .record_echo(meta.seq, meta.sent_at, rtt);
             }
         }
     }
@@ -195,16 +240,11 @@ impl Endpoint for PingProber {
             return;
         }
         let meta = ProbeMeta {
-            seq: self.next_seq,
+            seq: self.stats.borrow_mut().record_send(ctx.now),
             stream: 0,
             sent_at: ctx.now,
             is_reply: false,
         };
-        self.next_seq += 1;
-        self.stats.borrow_mut().records.push(ProbeRecord {
-            sent_at: ctx.now,
-            rtt: None,
-        });
         ctx.send(self.route, self.dst, self.probe_size, Payload::Probe(meta));
         ctx.set_timer_after(0, self.interval);
     }
@@ -213,6 +253,7 @@ impl Endpoint for PingProber {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tputpred_netsim::link::LinkConfig;
     use tputpred_netsim::sources::{PoissonSource, Reflector, Sink, SourceConfig};
     use tputpred_netsim::{RateSchedule, Simulator};
@@ -424,7 +465,10 @@ mod tests {
                     }
                 })
                 .collect();
-            let stats = PingStats { records };
+            let stats = PingStats {
+                records,
+                ..PingStats::default()
+            };
             for _ in 0..10 {
                 let (from, to) = window(&mut rng);
                 let mask = ProbeMask {
@@ -452,5 +496,112 @@ mod tests {
         assert_eq!(s.sent, 0);
         assert_eq!(s.loss_rate, 0.0);
         assert_eq!(s.rtt, 0.0);
+    }
+
+    /// One probe of a scripted run: the gap after the previous send,
+    /// and the round trip, or `None` when the echo is lost.
+    type ScriptedProbe = (Time, Option<Time>);
+
+    /// `n` steps of the script's 10 ms grid: sends, echoes and epoch
+    /// boundaries all fall on it, so probes are often sent exactly at a
+    /// boundary.
+    fn ticks(n: u64) -> Time {
+        Time::from_millis(10 * n)
+    }
+
+    fn script() -> impl Strategy<Value = Vec<ScriptedProbe>> {
+        // Round trips reach 2.5 s, past several epoch boundaries, so
+        // many echoes land after their record is forgotten.
+        let probe = (0..20_u64, 1..300_u64).prop_map(|(gap_ticks, rtt_ticks)| {
+            let rtt = (rtt_ticks < 250).then(|| ticks(rtt_ticks));
+            (ticks(gap_ticks), rtt)
+        });
+        prop::collection::vec(probe, 0..400)
+    }
+
+    /// A window `[a, b)` of the span `[from, to)`, from two fractions.
+    fn window_of(from: Time, to: Time, a: f64, b: f64) -> (Time, Time) {
+        let at = |f: f64| from + Time::from_nanos(((to - from).as_nanos() as f64 * f) as u64);
+        (at(a.min(b)), at(a.max(b)))
+    }
+
+    proptest! {
+        #[test]
+        fn forgetting_leaves_every_later_summary_and_total_unchanged(
+            probes in script(),
+            epoch_ticks in 30..500_u64,
+            fracs in prop::collection::vec(
+                (0.0..1.0_f64, 0.0..1.0_f64, 0.0..1.0_f64, 0.0..1.0_f64),
+                1..4,
+            ),
+        ) {
+            // Every send and echo, in time order; a send sorts before
+            // an echo at the same instant.
+            let mut events = Vec::new();
+            let mut at = Time::ZERO;
+            for (seq, &(gap, rtt)) in probes.iter().enumerate() {
+                at += gap;
+                events.push((at, false, seq as u64, at));
+                if let Some(rtt) = rtt {
+                    events.push((at + rtt, true, seq as u64, at));
+                }
+            }
+            events.sort_by_key(|&(t, echo, seq, _)| (t, echo, seq));
+            let mut forgetful = PingStats::default();
+            let mut twin = PingStats::default();
+            let mut next = events.iter().peekable();
+            let epoch = ticks(epoch_ticks);
+            let mut start = Time::ZERO;
+            while next.peek().is_some() {
+                // Run through `end` inclusive, as `Simulator::run_until`
+                // does: a probe sent at `end` is recorded before the
+                // epoch's records are forgotten, and must survive it.
+                let end = start + epoch;
+                while let Some(&&(t, echo, seq, sent_at)) = next.peek() {
+                    if t > end {
+                        break;
+                    }
+                    next.next();
+                    for stats in [&mut forgetful, &mut twin] {
+                        if echo {
+                            stats.record_echo(seq, sent_at, t - sent_at);
+                        } else {
+                            prop_assert_eq!(stats.record_send(t), seq);
+                        }
+                    }
+                }
+                // The whole epoch, then the drawn windows.
+                let whole = (0.0, 1.0, 0.0, 0.5);
+                for &(a, b, c, d) in std::iter::once(&whole).chain(&fracs) {
+                    let (from, to) = window_of(start, end, a, b);
+                    let masks = [
+                        ProbeMask::none(),
+                        ProbeMask {
+                            outage: Some(window_of(start, end, c, d)),
+                            forced_loss: Some(window_of(start, end, a, d)),
+                        },
+                    ];
+                    for mask in &masks {
+                        let got = forgetful.summarize_masked(from, to, mask);
+                        let want = twin.summarize_masked(from, to, mask);
+                        prop_assert_eq!(got.sent, want.sent);
+                        prop_assert_eq!(got.received, want.received);
+                        prop_assert_eq!(got.rtt.to_bits(), want.rtt.to_bits());
+                        prop_assert_eq!(
+                            got.loss_rate.to_bits(),
+                            want.loss_rate.to_bits()
+                        );
+                    }
+                }
+                prop_assert_eq!(forgetful.total_sent(), twin.total_sent());
+                prop_assert_eq!(forgetful.replies_lost(), twin.replies_lost());
+                forgetful.forget_before(end);
+                prop_assert!(forgetful.records.iter().all(|r| r.sent_at >= end));
+                prop_assert_eq!(forgetful.total_sent(), twin.total_sent());
+                prop_assert_eq!(forgetful.replies_lost(), twin.replies_lost());
+                start = end;
+            }
+            prop_assert_eq!(forgetful.total_sent(), probes.len());
+        }
     }
 }

@@ -463,6 +463,9 @@ pub fn run_trace(path: &PathConfig, trace_idx: usize, preset: &Preset) -> TraceD
             let (t_tilde, p_tilde) = summary_measurements(&during);
             (t_hat, p_hat, t_tilde, p_tilde)
         };
+        // The epoch's windows are summarized and later epochs start at
+        // `cursor`: its probe records go, the trace's totals stay.
+        world.ping.borrow_mut().forget_before(cursor);
 
         records.push(EpochRecord {
             status: faults.status(),
