@@ -31,10 +31,11 @@
 //!   pending key in a lane beside the heap, and the lane's earliest key
 //!   is cached; a firing runs the generator inline and re-keys it.
 //! * **Link events** never enter a queue at all. Each link has at most
-//!   one pending serialization completion (the serializer is busy with
-//!   exactly one packet) and a FIFO of in-flight arrivals (propagation
-//!   delay is constant per link, so arrival order equals transmission
-//!   order and the deque stays sorted by construction).
+//!   one pending serialization completion (the [`Link`] holds the one
+//!   packet it serializes; the engine keeps only the completion's key)
+//!   and a FIFO of in-flight arrivals (propagation delay is constant per
+//!   link, so arrival order equals transmission order and the deque
+//!   stays sorted by construction).
 //!
 //! A step takes the minimum key across the heap top, the lane's cached
 //! minimum and the per-link heads — a handful of integer compares for
@@ -60,30 +61,23 @@
 //!    delivered to the destination endpoint's
 //!    [`Endpoint::on_packet`].
 //!
-//! # Unobserved deliveries (DESIGN.md §14)
+//! # Counted, not dispatched (DESIGN.md §14)
 //!
-//! A packet whose last hop ends at an endpoint that [discards]
-//! ([`Endpoint::discards`]) never becomes an arrival event: its link
-//! keeps only the packed key the arrival would have had, in a second
-//! FIFO sorted like the first. Such an arrival is *settled* — counted
-//! in `arrival_events`, `packets_delivered` and `elided_arrivals`, and
-//! the clock moved to it — once the event order passes its key: before
-//! the link elides another packet (up to `now`), and when
-//! [`Simulator::run_until`] or [`Simulator::run_to_quiescence`] returns.
-//! So every counter and the clock read exactly what dispatching the
-//! arrivals would have left them, and the FIFO holds only packets still
-//! in propagation.
-//!
-//! # Superseded timers (DESIGN.md §14)
-//!
-//! A slot arm that is re-armed or disarmed before its time never fires,
-//! but `timer_events` still counts it, as it counted the stale firing
-//! endpoints used to ignore: the engine keeps its key and counts it
-//! once the event order passes it — when the store of such keys has
-//! doubled since it was last settled (everything due by `now`), and
-//! when [`Simulator::run_until`] (everything due by its `t`) or
-//! [`Simulator::run_to_quiescence`] (everything; the clock ends at the
-//! last one) returns. [`EngineCounters::elided_timers`] says how many.
+//! Two kinds of event are counted without being dispatched. A packet
+//! whose last hop ends at an endpoint that [discards]
+//! ([`Endpoint::discards`]) never becomes an arrival event, and a slot
+//! arm that is re-armed or disarmed before its time never fires. The
+//! engine keeps each one's packed key, with its kind, in one unordered
+//! store of *ghosts*, and *settles* a ghost once the event order passes
+//! its key: an arrival counts in `arrival_events`, `packets_delivered`
+//! and `elided_arrivals`, a timer in `timer_events` and
+//! `elided_timers`, as their dispatch (or the stale firing endpoints
+//! used to ignore) would have counted them. The store is settled up to
+//! `now` whenever it has doubled since it was last settled, so it holds
+//! only ghosts still ahead; [`Simulator::run_until`] settles everything
+//! due by its `t`, and [`Simulator::run_to_quiescence`] everything, the
+//! clock ending at the last one. Counters are read only between runs,
+//! so they read exactly what dispatching the ghosts would have left.
 //!
 //! [discards]: Endpoint::discards
 
@@ -308,9 +302,19 @@ struct SlotState {
     on_heap: Vec<u128>,
 }
 
-/// Size below which the store of superseded arms is not settled
-/// before it doubles (see the module docs).
-const SUPERSEDED_SETTLE_MIN: usize = 64;
+/// Size below which the store of ghosts is not settled before it
+/// doubles (see the module docs).
+const SETTLE_MIN: usize = 64;
+
+/// What a ghost (an event counted, not dispatched; module docs) would
+/// have been.
+#[derive(Debug, Clone, Copy)]
+enum Ghost {
+    /// An arrival at a discarding endpoint.
+    Arrival,
+    /// A superseded slot arm.
+    Timer,
+}
 
 impl PartialEq for Timer {
     fn eq(&self, other: &Self) -> bool {
@@ -329,50 +333,26 @@ impl Ord for Timer {
     }
 }
 
-/// Pending engine events for one link: the single in-serializer
-/// completion and the FIFO of packets in propagation. Every entry
-/// carries the `(at, seq)` key it would have had in the old global
-/// heap; both sequences are nondecreasing in `at` by construction
-/// (serialization completes in start order; propagation delay is a
-/// per-link constant), so each head is this link's earliest event.
+/// Pending engine events for one link: the key of the serialization
+/// completion of the packet its [`Link`] holds, and the FIFO of packets
+/// in propagation. Every entry carries the `(at, seq)` key it would
+/// have had in the old global heap; both sequences are nondecreasing in
+/// `at` by construction (serialization completes in start order;
+/// propagation delay is a per-link constant), so each head is this
+/// link's earliest event.
 ///
-/// The head keys are mirrored as packed [`key`] fields at the top
-/// of the struct ([`KEY_NONE`] when empty): the per-event scan in
+/// The head keys are packed [`key`] fields at the top of the struct
+/// ([`KEY_NONE`] when empty): the per-event scan in
 /// [`Simulator::peek_next`] touches only these, never the `VecDeque`
 /// ring or the packets behind it.
 #[derive(Debug)]
 struct LinkEvents {
-    /// Key of the in-serializer completion ([`KEY_NONE`] when idle).
+    /// Key of the serialization completion ([`KEY_NONE`] when idle).
     tx_key: u128,
     /// Key of the head of `arrivals` ([`KEY_NONE`] when empty).
     arr_key: u128,
-    /// The packet in the serializer (present iff `tx_key` is live).
-    tx_pkt: Option<Packet>,
     /// `(arrival time, seq, packet)` of packets in propagation, FIFO.
     arrivals: VecDeque<(Time, u64, Packet)>,
-    /// Packed keys of the arrivals elided because their packets end at
-    /// a discarding endpoint, FIFO and sorted like `arrivals`; drained
-    /// by [`LinkEvents::pop_elided_before`] as the clock passes them.
-    elided: VecDeque<u128>,
-}
-
-impl LinkEvents {
-    /// Pops the elided arrivals keyed before `limit`; returns how many
-    /// and the key of the last one (0 when none).
-    // lint:hot-path
-    fn pop_elided_before(&mut self, limit: u128) -> (u64, u128) {
-        let mut n = 0;
-        let mut last = 0;
-        while let Some(&k) = self.elided.front() {
-            if k >= limit {
-                break;
-            }
-            self.elided.pop_front();
-            n += 1;
-            last = k;
-        }
-        (n, last)
-    }
 }
 
 impl Default for LinkEvents {
@@ -380,9 +360,7 @@ impl Default for LinkEvents {
         LinkEvents {
             tx_key: KEY_NONE,
             arr_key: KEY_NONE,
-            tx_pkt: None,
             arrivals: VecDeque::new(),
-            elided: VecDeque::new(),
         }
     }
 }
@@ -401,15 +379,13 @@ enum Pending {
 /// function of the simulation inputs. Harvested by the telemetry layer
 /// *after* a run; the engine itself never reads them back.
 ///
-/// `events`, `arrival_events` and `packets_delivered` are *logical*
-/// counts: an arrival elided at a discarding endpoint (module docs)
-/// counts in all three, at the moment its dispatch would have, so they
-/// keep the meaning and the values they had before arrivals could be
-/// elided. [`EngineCounters::elided_arrivals`] says how many of them
-/// were counted rather than dispatched. `timer_events` is logical in
-/// the same way: a superseded slot arm counts once the event order
-/// passes its key ([`EngineCounters::elided_timers`]), as the stale
-/// firing it once was did.
+/// `events`, `timer_events`, `arrival_events` and `packets_delivered`
+/// are *logical* counts: an event counted, not dispatched (module docs)
+/// counts in them once the event order passes its key, as its dispatch
+/// would have, so they keep the meaning and the values they had when
+/// every event was dispatched. [`EngineCounters::elided_arrivals`] and
+/// [`EngineCounters::elided_timers`] say how many of them were counted
+/// rather than dispatched.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Total logical events: dispatched plus elided. Derived: the sum
@@ -492,9 +468,10 @@ pub struct Simulator {
     timers: BinaryHeap<Timer>,
     /// The engine's half of every bound [`TimerSlot`].
     slots: Vec<SlotState>,
-    /// Keys of superseded slot arms not yet counted (unordered).
-    superseded: Vec<u128>,
-    /// `superseded` is settled up to `now` when it reaches this length.
+    /// Keys and kinds of the events counted, not dispatched, that the
+    /// event order has not yet passed (unordered; module docs).
+    ghosts: Vec<(u128, Ghost)>,
+    /// `ghosts` is settled up to `now` when it reaches this length.
     settle_at: usize,
     /// The open-loop sources, fired from the lane.
     sources: Vec<Source>,
@@ -523,8 +500,8 @@ impl Simulator {
             seq: 0,
             timers: BinaryHeap::new(),
             slots: Vec::new(),
-            superseded: Vec::new(),
-            settle_at: SUPERSEDED_SETTLE_MIN,
+            ghosts: Vec::new(),
+            settle_at: SETTLE_MIN,
             sources: Vec::new(),
             source_keys: Vec::new(),
             lane_key: KEY_NONE,
@@ -653,7 +630,7 @@ impl Simulator {
             self.push_heap(k, Owner::Slot(slot.index));
         }
         if superseded != KEY_NONE {
-            self.supersede(superseded);
+            self.ghost(superseded, Ghost::Timer);
         }
     }
 
@@ -674,41 +651,45 @@ impl Simulator {
     fn disarm_slot(&mut self, index: u32) {
         let superseded = std::mem::replace(&mut self.slots[index as usize].live, KEY_NONE);
         if superseded != KEY_NONE {
-            self.supersede(superseded);
+            self.ghost(superseded, Ghost::Timer);
         }
     }
 
-    /// Keeps the key of an arm that will never fire, to count it once
-    /// the event order passes it. The keys already behind the clock are
-    /// settled each time the store doubles, so it holds only superseded
-    /// arms still ahead.
+    /// Keeps the key of an event that will not be dispatched, to count
+    /// it once the event order passes it. The ghosts already behind the
+    /// clock are settled each time the store doubles, so it holds only
+    /// ghosts still ahead.
     // lint:hot-path
-    fn supersede(&mut self, k: u128) {
-        // lint:allow(hot-path-alloc): the store keeps its capacity and is settled to the arms still ahead whenever it doubles
-        self.superseded.push(k);
-        if self.superseded.len() >= self.settle_at {
-            self.settle_superseded(key_through(self.now));
+    fn ghost(&mut self, k: u128, kind: Ghost) {
+        // lint:allow(hot-path-alloc): the store keeps its capacity and is settled to the ghosts still ahead whenever it doubles
+        self.ghosts.push((k, kind));
+        if self.ghosts.len() >= self.settle_at {
+            self.settle(key_through(self.now));
         }
     }
 
-    /// Counts the superseded arms keyed before `limit` as the timer
-    /// events their stale firings were; returns the last of their keys
-    /// (0 when none).
+    /// Counts the ghosts keyed before `limit` as the events they would
+    /// have been; returns the last of their keys (0 when none).
     // lint:hot-path
-    fn settle_superseded(&mut self, limit: u128) -> u128 {
-        let mut n = 0;
-        let mut last = 0;
-        self.superseded.retain(|&k| {
+    fn settle(&mut self, limit: u128) -> u128 {
+        let (mut arrivals, mut timers, mut last) = (0, 0, 0);
+        self.ghosts.retain(|&(k, kind)| {
             let due = k < limit;
             if due {
-                n += 1;
+                match kind {
+                    Ghost::Arrival => arrivals += 1,
+                    Ghost::Timer => timers += 1,
+                }
                 last = last.max(k);
             }
             !due
         });
-        self.counters.timer_events += n;
-        self.counters.elided_timers += n;
-        self.settle_at = (2 * self.superseded.len()).max(SUPERSEDED_SETTLE_MIN);
+        self.counters.arrival_events += arrivals;
+        self.counters.packets_delivered += arrivals;
+        self.counters.elided_arrivals += arrivals;
+        self.counters.timer_events += timers;
+        self.counters.elided_timers += timers;
+        self.settle_at = (2 * self.ghosts.len()).max(SETTLE_MIN);
         last
     }
 
@@ -803,9 +784,9 @@ impl Simulator {
     }
 
     /// Dispatches a single event. Returns `false` when no events are
-    /// pending. Private: with arrivals elided, one call is not one
-    /// logical event, and only the run loops settle the elided arrivals
-    /// still pending when they return.
+    /// pending. Private: with events counted, not dispatched, one call
+    /// is not one logical event, and only the run loops settle the
+    /// ghosts still pending when they return.
     // lint:hot-path
     fn step(&mut self) -> bool {
         match self.peek_next() {
@@ -820,7 +801,7 @@ impl Simulator {
     /// Pops and executes the event `peek_next` resolved. The clock only
     /// moves forward (`max`): a clamped past-due entry must not rewind
     /// it. A superseded slot entry dispatches nothing (its arm is
-    /// counted from the superseded store).
+    /// counted as a ghost).
     // lint:hot-path
     fn dispatch(&mut self, pending: Pending) {
         match pending {
@@ -842,42 +823,28 @@ impl Simulator {
             Pending::TxDone(i) => {
                 let li = i as usize;
                 let le = &mut self.link_events[li];
-                if let Some(packet) = le.tx_pkt.take() {
-                    let at = key_at(le.tx_key);
-                    le.tx_key = KEY_NONE;
-                    self.now = self.now.max(at);
+                self.now = self.now.max(key_at(le.tx_key));
+                le.tx_key = KEY_NONE;
+                let link = &mut self.links[li];
+                let delay = link.delay();
+                if let Some((mut sent, next)) = link.finish_tx(self.now) {
                     self.counters.txdone_events += 1;
-                    let l = &mut self.links[li];
-                    let next = l.finish_tx(&packet, self.now);
-                    let delay = l.delay();
-                    if let Some((next_pkt, done)) = next {
+                    if let Some(done) = next {
                         // Seq order matches the old heap engine: the
                         // follow-on TxDone was pushed before the arrival.
                         let seq = self.next_seq();
-                        let le = &mut self.link_events[li];
-                        le.tx_key = key(done, seq);
-                        le.tx_pkt = Some(next_pkt);
+                        self.link_events[li].tx_key = key(done, seq);
                     }
-                    let mut sent = packet;
                     sent.advance_hop();
                     let seq = self.next_seq();
                     let arrive = self.now + delay;
-                    let elide = sent.next_hop().is_none()
-                        && self.discards.get(sent.dst.0 as usize) == Some(&true);
-                    let le = &mut self.link_events[li];
-                    if elide {
-                        // Unobserved delivery: keep only the key. The
-                        // ones already due are settled first, so the
-                        // FIFO holds only packets in propagation.
-                        let (due, _) = le.pop_elided_before(key_through(self.now));
-                        debug_assert!(
-                            le.elided.back() < Some(&key(arrive, seq)),
-                            "elided FIFO out of order"
-                        );
-                        // lint:allow(hot-path-alloc): per-link elided-arrival FIFO keeps its capacity for the whole run and is drained to the packets in propagation on every push
-                        le.elided.push_back(key(arrive, seq));
-                        self.count_elided(due);
+                    if sent.next_hop().is_none()
+                        && self.discards.get(sent.dst.0 as usize) == Some(&true)
+                    {
+                        // Unobserved delivery: keep only the key.
+                        self.ghost(key(arrive, seq), Ghost::Arrival);
                     } else {
+                        let le = &mut self.link_events[li];
                         if let Some(&(tail_at, _, _)) = le.arrivals.back() {
                             debug_assert!(tail_at <= arrive, "arrival FIFO out of order");
                         } else {
@@ -936,46 +903,17 @@ impl Simulator {
             }
             self.dispatch(pending);
         }
-        self.settle_elided(key_through(t));
-        self.settle_superseded(key_through(t));
+        self.settle(key_through(t));
         self.now = self.now.max(t);
     }
 
     /// Runs until the event schedule drains (all traffic quiesces). The
-    /// clock ends at the last event, elided arrivals and superseded
-    /// timers included.
+    /// clock ends at the last event, events counted but not dispatched
+    /// included.
     pub fn run_to_quiescence(&mut self) {
         while self.step() {}
-        self.settle_elided(KEY_NONE);
-        let last = self.settle_superseded(KEY_NONE);
+        let last = self.settle(KEY_NONE);
         self.now = self.now.max(key_at(last));
-    }
-
-    /// Counts `n` elided arrivals as the arrivals and deliveries their
-    /// dispatch would have counted.
-    // lint:hot-path
-    fn count_elided(&mut self, n: u64) {
-        self.counters.arrival_events += n;
-        self.counters.packets_delivered += n;
-        self.counters.elided_arrivals += n;
-    }
-
-    /// Settles every link's elided arrivals keyed before `limit`: counts
-    /// them and moves the clock to the last one, as dispatching them
-    /// would have.
-    // lint:hot-path
-    fn settle_elided(&mut self, limit: u128) {
-        let mut n = 0;
-        let mut last = 0;
-        for le in &mut self.link_events {
-            let (due, k) = le.pop_elided_before(limit);
-            n += due;
-            last = last.max(k);
-        }
-        if n > 0 {
-            self.count_elided(n);
-            self.now = self.now.max(key_at(last));
-        }
     }
 
     /// Offers `packet` to the next link on its route, or delivers it.
@@ -984,16 +922,11 @@ impl Simulator {
         match packet.next_hop() {
             Some(link_id) => {
                 let li = link_id.0 as usize;
-                let link = &mut self.links[li];
-                match link.offer(packet, self.now) {
-                    Offer::StartTx => {
+                match self.links[li].offer(packet, self.now) {
+                    Offer::StartTx(done) => {
                         self.counters.packets_tx_started += 1;
-                        let done = link.begin_tx(&packet, self.now);
                         let seq = self.next_seq();
-                        let le = &mut self.link_events[li];
-                        debug_assert!(le.tx_pkt.is_none(), "serializer already busy");
-                        le.tx_key = key(done, seq);
-                        le.tx_pkt = Some(packet);
+                        self.link_events[li].tx_key = key(done, seq);
                     }
                     Offer::Queued => {
                         self.counters.packets_queued += 1;
@@ -1318,36 +1251,6 @@ mod tests {
         assert_eq!(run(7), run(7));
     }
 
-    #[test]
-    fn elided_fifo_holds_only_packets_in_propagation() {
-        // 4000 packets of 1.2 ms each (1500 B at 10 Mbps) serialize back
-        // to back for 4.8 s with no timer in between, inside one
-        // `run_until`: only the per-push settling can keep the FIFO short.
-        let (rate_bps, delay, count) = (10e6, Time::from_millis(20), 4000);
-        let mut sim = Simulator::new(3);
-        let link = sim.add_link(LinkConfig::new(rate_bps, delay, count));
-        let (sink, _) = Sink::new();
-        let sink = sim.add_endpoint(Box::new(sink));
-        let burst = sim.add_endpoint(Box::new(Burst {
-            route: Route::direct(link),
-            dst: sink,
-            count,
-            size: 1500,
-        }));
-        sim.schedule_timer(burst, 0, Time::ZERO);
-        sim.run_until(Time::from_secs(10));
-        let c = sim.counters();
-        assert_eq!(c.elided_arrivals, u64::from(count), "{c:?}");
-        assert_eq!(c.packets_delivered, u64::from(count));
-        let tx = Time::tx_time(1500, rate_bps);
-        let in_propagation = (delay.as_nanos() / tx.as_nanos() + 1) as usize;
-        let capacity = sim.link_events[link.0 as usize].elided.capacity();
-        assert!(
-            capacity <= (2 * in_propagation).max(4),
-            "elided FIFO grew to {capacity} entries; at most {in_propagation} are ever in propagation"
-        );
-    }
-
     /// Sends `count` packets to itself over `link`, one per arrival,
     /// re-arming its slot `rto` ahead on each send — a sender's
     /// retransmission timer re-armed on every ACK.
@@ -1383,66 +1286,132 @@ mod tests {
     }
 
     #[test]
-    fn superseded_store_holds_only_arms_still_ahead() {
-        // 8000 sends 2.2 ms apart (1.2 ms serialization, 1 ms
-        // propagation) re-arm a 1 s timer inside one `run_until`: only
-        // the settling as the store doubles keeps it near the ~455 arms
-        // a second ahead.
-        let (count, rto) = (8000, Time::from_secs(1));
+    fn ghost_store_holds_only_ghosts_still_ahead() {
+        // Inside one `run_until`, 4000 packets of 1.2 ms each (1500 B at
+        // 10 Mbps) serialize back to back into a discarding sink for
+        // 4.8 s, and 8000 sends 2.2 ms apart (1.2 ms serialization, 1 ms
+        // propagation) re-arm a 1 s timer: only the settling as the
+        // store doubles keeps it near the ~17 arrivals in propagation
+        // and ~455 arms a second ahead.
+        let (burst, sends, rto) = (4000, 8000, Time::from_secs(1));
+        let (rate_bps, delay) = (10e6, Time::from_millis(20));
         let mut sim = Simulator::new(3);
-        let link = sim.add_link(LinkConfig::new(10e6, Time::from_millis(1), 10));
+        let to_sink = sim.add_link(LinkConfig::new(rate_bps, delay, burst));
+        let (sink, _) = Sink::new();
+        let sink = sim.add_endpoint(Box::new(sink));
+        let burster = sim.add_endpoint(Box::new(Burst {
+            route: Route::direct(to_sink),
+            dst: sink,
+            count: burst,
+            size: 1500,
+        }));
+        let loopback = sim.add_link(LinkConfig::new(rate_bps, Time::from_millis(1), 10));
         let fired = Rc::new(RefCell::new(Vec::new()));
-        let ep = sim.add_endpoint(Box::new(Rearmer {
-            link,
+        let rearmer = sim.add_endpoint(Box::new(Rearmer {
+            link: loopback,
             rto,
             slot: TimerSlot::new(),
-            left: count,
+            left: sends,
             fired: Rc::clone(&fired),
         }));
-        sim.schedule_timer(ep, u64::MAX, Time::ZERO);
+        sim.schedule_timer(burster, 0, Time::ZERO);
+        sim.schedule_timer(rearmer, u64::MAX, Time::ZERO);
         sim.run_until(Time::from_secs(30));
         let c = sim.counters();
-        // The bootstrap timer, the last arm's live fire, and every
+        assert_eq!(c.elided_arrivals, u64::from(burst), "{c:?}");
+        assert_eq!(c.packets_delivered, u64::from(burst + sends), "{c:?}");
+        // The two bootstrap timers, the last arm's live fire, and every
         // superseded arm, counted once passed.
-        assert_eq!(c.timer_events, 1 + u64::from(count), "{c:?}");
-        assert_eq!(c.elided_timers, u64::from(count) - 1, "{c:?}");
-        // One push for the bootstrap, one for the first arm, one per
+        assert_eq!(c.timer_events, 2 + u64::from(sends), "{c:?}");
+        assert_eq!(c.elided_timers, u64::from(sends) - 1, "{c:?}");
+        // One push per bootstrap, one for the first arm, one per
         // superseded entry popped (each re-pushes the live key).
         assert!(c.timer_pushes < 60, "{c:?}");
-        let period = Time::tx_time(1500, 10e6) + Time::from_millis(1);
         assert_eq!(fired.borrow().len(), 1);
         assert_eq!(
             fired.borrow()[0].1,
             0,
             "the live fire carries the last arm's token"
         );
-        let ahead = (rto.as_nanos() / period.as_nanos() + 1) as usize;
-        let capacity = sim.superseded.capacity();
+        let tx = Time::tx_time(1500, rate_bps);
+        let in_propagation = (delay.as_nanos() / tx.as_nanos() + 1) as usize;
+        let period = tx + Time::from_millis(1);
+        let ahead = in_propagation + (rto.as_nanos() / period.as_nanos() + 1) as usize;
+        let capacity = sim.ghosts.capacity();
         assert!(
             capacity <= 4 * ahead,
-            "superseded store grew to {capacity} entries; at most {ahead} arms are ever ahead"
+            "ghost store grew to {capacity} entries; at most {ahead} ghosts are ever ahead"
         );
-        assert!(sim.superseded.is_empty());
+        sim.run_to_quiescence();
+        assert!(sim.ghosts.is_empty());
+        assert_eq!(sim.counters(), c, "nothing was left to settle");
+    }
+
+    #[test]
+    fn a_ghost_at_the_run_limit_is_counted() {
+        // The only arrival lands exactly at the `run_until` limit: 1 ms
+        // of serialization plus 5 ms of propagation.
+        let mut sim = Simulator::new(1);
+        let link = sim.add_link(LinkConfig::new(12e6, Time::from_millis(5), 50));
+        let (sink, _) = Sink::new();
+        let sink = sim.add_endpoint(Box::new(sink));
+        let src = sim.add_endpoint(Box::new(Burst {
+            route: Route::direct(link),
+            dst: sink,
+            count: 1,
+            size: 1500,
+        }));
+        sim.schedule_timer(src, 0, Time::ZERO);
+        sim.run_until(Time::from_millis(6));
+        let c = sim.counters();
+        assert_eq!((c.arrival_events, c.elided_arrivals), (1, 1), "{c:?}");
+    }
+
+    /// Arms its slot for `at` on token 0 and disarms it on token 1, so
+    /// the arm becomes a timer ghost.
+    struct ArmThenDisarm {
+        slot: TimerSlot,
+        at: Time,
+    }
+    impl Endpoint for ArmThenDisarm {
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _p: Packet) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            match token {
+                0 => ctx.arm(&mut self.slot, 7, self.at),
+                1 => ctx.disarm(&mut self.slot),
+                _ => panic!("a disarmed slot fired"),
+            }
+        }
+    }
+
+    #[test]
+    fn settle_counts_the_ghosts_keyed_before_its_limit_by_kind() {
+        // The limit is exclusive (`key_through(t)` lies just past every
+        // key at `t`): a ghost keyed at the limit is not yet due.
+        let mut sim = Simulator::new(1);
+        let arrival = key(Time::from_millis(2), 5);
+        let timer = key(Time::from_millis(3), 1);
+        sim.ghosts.push((timer, Ghost::Timer));
+        sim.ghosts.push((arrival, Ghost::Arrival));
+        assert_eq!(sim.settle(arrival), 0);
+        assert_eq!(sim.settle(timer), arrival);
+        assert_eq!(sim.settle(KEY_NONE), timer);
+        assert!(sim.ghosts.is_empty());
+        let c = sim.counters();
+        assert_eq!(
+            (c.arrival_events, c.packets_delivered, c.elided_arrivals),
+            (1, 1, 1),
+            "{c:?}"
+        );
+        assert_eq!((c.timer_events, c.elided_timers), (1, 1), "{c:?}");
     }
 
     #[test]
     fn quiescence_ends_the_clock_at_the_last_superseded_arm() {
-        struct ArmThenDisarm {
-            slot: TimerSlot,
-        }
-        impl Endpoint for ArmThenDisarm {
-            fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _p: Packet) {}
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-                match token {
-                    0 => ctx.arm(&mut self.slot, 7, Time::from_secs(10)),
-                    1 => ctx.disarm(&mut self.slot),
-                    _ => panic!("a disarmed slot fired"),
-                }
-            }
-        }
         let mut sim = Simulator::new(1);
         let ep = sim.add_endpoint(Box::new(ArmThenDisarm {
             slot: TimerSlot::new(),
+            at: Time::from_secs(10),
         }));
         sim.schedule_timer(ep, 0, Time::ZERO);
         sim.schedule_timer(ep, 1, Time::from_secs(1));
@@ -1453,6 +1422,35 @@ mod tests {
         let c = sim.counters();
         assert_eq!((c.timer_events, c.elided_timers), (3, 1), "{c:?}");
         assert_eq!(sim.now(), Time::from_secs(10));
+    }
+
+    #[test]
+    fn quiescence_ends_the_clock_at_a_last_ghost_arrival() {
+        // A timer ghost at 3 ms (armed at 0, disarmed at 1 ms) beside an
+        // arrival ghost at 6 ms (1 ms serialization, 5 ms propagation
+        // into a discarding sink): the clock ends at the later one.
+        let mut sim = Simulator::new(1);
+        let link = sim.add_link(LinkConfig::new(12e6, Time::from_millis(5), 50));
+        let (sink, _) = Sink::new();
+        let sink = sim.add_endpoint(Box::new(sink));
+        let src = sim.add_endpoint(Box::new(Burst {
+            route: Route::direct(link),
+            dst: sink,
+            count: 1,
+            size: 1500,
+        }));
+        let ep = sim.add_endpoint(Box::new(ArmThenDisarm {
+            slot: TimerSlot::new(),
+            at: Time::from_millis(3),
+        }));
+        sim.schedule_timer(src, 0, Time::ZERO);
+        sim.schedule_timer(ep, 0, Time::ZERO);
+        sim.schedule_timer(ep, 1, Time::from_millis(1));
+        sim.run_to_quiescence();
+        let c = sim.counters();
+        assert_eq!((c.elided_arrivals, c.elided_timers), (1, 1), "{c:?}");
+        assert_eq!((c.arrival_events, c.timer_events), (1, 4), "{c:?}");
+        assert_eq!(sim.now(), Time::from_millis(6));
     }
 
     #[test]

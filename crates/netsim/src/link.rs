@@ -201,15 +201,15 @@ pub struct Link {
     config: LinkConfig,
     queue: VecDeque<Queued>,
     queued_bytes: u32,
-    /// Whether a packet is currently being serialized.
-    busy: bool,
+    /// The packet in the serializer, if any.
+    serializing: Option<Packet>,
     /// RED state: EWMA of the queue length, and a deterministic counter
     /// standing in for ns2's uniform variable (keeps the simulation a
     /// pure function of its inputs — no RNG plumbed into links).
     red_avg: f64,
     red_count: u64,
-    /// Serialization time of the packet currently in the serializer —
-    /// saves `finish_tx` recomputing the value `begin_tx` produced.
+    /// Serialization time of the packet in the serializer — saves
+    /// `finish_tx` recomputing the value `begin_tx` produced.
     cur_tx: Time,
     /// Move-to-front memo of [`Time::tx_time`] by packet size: the rate
     /// is fixed per link and traffic uses a handful of sizes (MSS data,
@@ -226,9 +226,10 @@ pub struct Link {
 pub enum Offer {
     /// Enqueued; the serializer was already busy.
     Queued,
-    /// The serializer was idle: start transmitting now. The engine must
-    /// schedule the dequeue event returned by [`Link::begin_tx`].
-    StartTx,
+    /// The serializer was idle and now serializes the packet, until the
+    /// given completion time; the engine schedules [`Link::finish_tx`]
+    /// then.
+    StartTx(Time),
     /// Dropped: the buffer was full.
     Dropped,
 }
@@ -240,7 +241,7 @@ impl Link {
             config,
             queue: VecDeque::new(),
             queued_bytes: 0,
-            busy: false,
+            serializing: None,
             red_avg: 0.0,
             red_count: 0,
             cur_tx: Time::ZERO,
@@ -322,15 +323,16 @@ impl Link {
         self.queue.len()
     }
 
-    /// Offers a packet to the link at time `now`.
+    /// Offers a packet to the link at time `now`. An idle link starts
+    /// serializing it at once.
     // lint:hot-path
     pub fn offer(&mut self, packet: Packet, now: Time) -> Offer {
         self.stats.offered += 1;
-        if !self.busy && self.queue.is_empty() {
+        if self.serializing.is_none() && self.queue.is_empty() {
             // An idle link never early-drops (avg decays toward 0 while
             // the queue is empty; ns2 likewise lets the first packet by).
             self.red_avg *= 0.5;
-            Offer::StartTx
+            Offer::StartTx(self.begin_tx(packet, now, now))
         } else if self.red_drops() {
             self.stats.drops += 1;
             Offer::Dropped
@@ -348,38 +350,32 @@ impl Link {
         }
     }
 
-    /// Starts serializing `packet` (after [`Offer::StartTx`]); returns
-    /// when serialization completes.
+    /// Puts `packet`, offered at `enqueued_at`, in the idle serializer
+    /// at `now`; returns when its serialization completes.
     // lint:hot-path
-    pub fn begin_tx(&mut self, packet: &Packet, now: Time) -> Time {
-        debug_assert!(!self.busy, "begin_tx on a busy link");
-        self.busy = true;
-        self.stats.queue_delay.record(Time::ZERO);
+    fn begin_tx(&mut self, packet: Packet, enqueued_at: Time, now: Time) -> Time {
+        self.stats.queue_delay.record(now - enqueued_at);
         self.cur_tx = self.tx_time_cached(packet.size);
+        self.serializing = Some(packet);
         now + self.cur_tx
     }
 
-    /// Completes the current serialization at time `now`; accounts the
-    /// transmitted packet and, if more packets wait, dequeues the next and
-    /// returns it with its serialization-completion time.
+    /// Completes the current serialization at time `now`: accounts the
+    /// sent packet and, if more packets wait, starts the next. Returns
+    /// the sent packet with the next one's completion time, or `None`
+    /// on an idle link.
     // lint:hot-path
-    pub fn finish_tx(&mut self, sent: &Packet, now: Time) -> Option<(Packet, Time)> {
-        debug_assert!(self.busy, "finish_tx on an idle link");
+    pub fn finish_tx(&mut self, now: Time) -> Option<(Packet, Option<Time>)> {
+        let sent = self.serializing.take()?;
         self.stats.packets_out += 1;
         self.stats.bytes_out += sent.size as u64;
         debug_assert!(self.cur_tx == Time::tx_time(sent.size, self.config.rate_bps));
         self.stats.busy += self.cur_tx;
-        self.busy = false;
-        if let Some(next) = self.queue.pop_front() {
+        let next = self.queue.pop_front().map(|next| {
             self.queued_bytes -= next.packet.size;
-            self.busy = true;
-            self.stats.queue_delay.record(now - next.enqueued_at);
-            self.cur_tx = self.tx_time_cached(next.packet.size);
-            let done = now + self.cur_tx;
-            Some((next.packet, done))
-        } else {
-            None
-        }
+            self.begin_tx(next.packet, next.enqueued_at, now)
+        });
+        Some((sent, next))
     }
 
     /// Propagation delay of this link.
@@ -412,17 +408,17 @@ mod tests {
     #[test]
     fn idle_link_starts_transmitting_immediately() {
         let mut l = link(8e6, 10);
-        assert_eq!(l.offer(pkt(1000), Time::ZERO), Offer::StartTx);
-        let done = l.begin_tx(&pkt(1000), Time::ZERO);
         // 1000 B at 8 Mbps = 1 ms.
-        assert_eq!(done, Time::from_millis(1));
+        assert_eq!(
+            l.offer(pkt(1000), Time::ZERO),
+            Offer::StartTx(Time::from_millis(1))
+        );
     }
 
     #[test]
     fn busy_link_queues() {
         let mut l = link(8e6, 10);
         l.offer(pkt(1000), Time::ZERO);
-        l.begin_tx(&pkt(1000), Time::ZERO);
         assert_eq!(l.offer(pkt(500), Time::ZERO), Offer::Queued);
         assert_eq!(l.queue_len(), 1);
         assert_eq!(l.queued_bytes(), 500);
@@ -434,7 +430,6 @@ mod tests {
         // and a tiny 41-byte probe is dropped exactly like a big packet.
         let mut l = link(8e6, 1);
         l.offer(pkt(800), Time::ZERO);
-        l.begin_tx(&pkt(800), Time::ZERO);
         assert_eq!(l.offer(pkt(900), Time::ZERO), Offer::Queued);
         assert_eq!(l.offer(pkt(41), Time::ZERO), Offer::Dropped);
         assert_eq!(l.stats().drops, 1);
@@ -444,25 +439,39 @@ mod tests {
     #[test]
     fn finish_tx_chains_to_next_packet() {
         let mut l = link(8e6, 10);
-        let first = pkt(1000);
-        l.offer(first, Time::ZERO);
-        l.begin_tx(&first, Time::ZERO);
+        l.offer(pkt(1000), Time::ZERO);
         l.offer(pkt(2000), Time::ZERO);
         let t1 = Time::from_millis(1);
-        let (next, done) = l.finish_tx(&first, t1).expect("queued packet");
-        assert_eq!(next.size, 2000);
-        assert_eq!(done, Time::from_millis(3)); // 2000 B at 8 Mbps = 2 ms
+        let (sent, done) = l.finish_tx(t1).expect("a packet in the serializer");
+        assert_eq!(sent.size, 1000);
+        assert_eq!(done, Some(Time::from_millis(3))); // 2000 B at 8 Mbps = 2 ms
         assert_eq!(l.stats().packets_out, 1);
         assert_eq!(l.stats().bytes_out, 1000);
+        let (next, done) = l
+            .finish_tx(Time::from_millis(3))
+            .expect("the queued packet");
+        assert_eq!(next.size, 2000);
+        assert_eq!(done, None);
+    }
+
+    #[test]
+    fn finish_tx_on_an_idle_link_returns_none() {
+        let mut l = link(8e6, 10);
+        assert_eq!(l.finish_tx(Time::ZERO), None);
+        l.offer(pkt(1000), Time::ZERO);
+        assert!(l.finish_tx(Time::from_millis(1)).is_some());
+        assert_eq!(l.finish_tx(Time::from_millis(2)), None);
+        assert_eq!(l.stats().packets_out, 1);
     }
 
     #[test]
     fn utilization_accounts_busy_time() {
         let mut l = link(8e6, 10);
-        let p = pkt(1000);
-        l.offer(p, Time::ZERO);
-        l.begin_tx(&p, Time::ZERO);
-        assert!(l.finish_tx(&p, Time::from_millis(1)).is_none());
+        l.offer(pkt(1000), Time::ZERO);
+        let (_, next) = l
+            .finish_tx(Time::from_millis(1))
+            .expect("a packet in the serializer");
+        assert!(next.is_none());
         // 1 ms busy out of 10 ms elapsed.
         let u = l.stats().utilization(Time::from_millis(10));
         assert!((u - 0.1).abs() < 1e-9);
@@ -471,11 +480,9 @@ mod tests {
     #[test]
     fn queue_delay_is_recorded() {
         let mut l = link(8e6, 10);
-        let p = pkt(1000);
-        l.offer(p, Time::ZERO);
-        l.begin_tx(&p, Time::ZERO);
         l.offer(pkt(1000), Time::ZERO);
-        l.finish_tx(&p, Time::from_millis(1));
+        l.offer(pkt(1000), Time::ZERO);
+        l.finish_tx(Time::from_millis(1));
         // Second packet waited 1 ms, the first not at all.
         let delays = l.stats().queue_delay;
         assert_eq!(delays.count(), 2);
@@ -551,9 +558,7 @@ mod red_tests {
         // min_th: early drops must appear even though the buffer never
         // hard-overflows.
         let mut l = red_link(30);
-        let p = pkt(1000);
-        l.offer(p, Time::ZERO);
-        l.begin_tx(&p, Time::ZERO);
+        l.offer(pkt(1000), Time::ZERO);
         let mut dropped = 0;
         let mut t = Time::ZERO;
         for i in 0..20_000 {
@@ -562,7 +567,7 @@ mod red_tests {
                 dropped += 1;
             }
             if i % 2 == 0 {
-                l.finish_tx(&p, t);
+                l.finish_tx(t);
                 if !l.queue.is_empty() {
                     // finish_tx already dequeued the next packet.
                 }
@@ -578,13 +583,11 @@ mod red_tests {
     #[test]
     fn red_passes_everything_at_low_occupancy() {
         let mut l = red_link(30);
-        let p = pkt(1000);
-        l.offer(p, Time::ZERO);
-        l.begin_tx(&p, Time::ZERO);
+        l.offer(pkt(1000), Time::ZERO);
         // Never more than 2 queued: avg stays below min_th = 8.
         for i in 0..1000 {
             assert_ne!(l.offer(pkt(1000), Time::from_millis(i)), Offer::Dropped);
-            l.finish_tx(&p, Time::from_millis(i));
+            l.finish_tx(Time::from_millis(i));
         }
         assert_eq!(l.stats().drops, 0);
     }

@@ -8,9 +8,13 @@
 use std::fs;
 use std::path::Path;
 
+/// The FNV-1a 64-bit offset basis: the state [`fnv1a`] starts from.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a, 64-bit. Stable, dependency-free, and plenty for change
-/// detection (this guards against staleness, not adversaries).
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+/// detection (this guards against staleness, not adversaries). The
+/// shard fingerprints use it too.
+pub(crate) fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     let mut h = hash;
     for &b in bytes {
         h ^= b as u64;
@@ -34,7 +38,7 @@ pub fn hash_source_dirs(dirs: &[&Path]) -> String {
         }
     }
     files.sort();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for (rel, bytes) in &files {
         h = fnv1a(h, rel.as_bytes());
         h = fnv1a(h, &[0]);

@@ -16,6 +16,7 @@
 //! is bit-identical to a from-scratch generation (pinned by
 //! `crates/testbed/tests/shard_pin.rs`).
 
+use crate::behavior_hash::{fnv1a, FNV_OFFSET};
 use crate::path::PathConfig;
 use crate::preset::Preset;
 use rayon::prelude::*;
@@ -476,11 +477,12 @@ impl ShardStats {
     }
 }
 
-/// The on-disk envelope of one shard: one path's data plus everything
-/// needed to decide whether this binary can trust it. Field order is
-/// load-bearing: the compact writer emits both digests ahead of the
-/// payload, which is what lets classify read only [`trusted_prefix`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The on-disk envelope of one shard, as [`load_shard`] reads it: one
+/// path's data plus everything needed to decide whether this binary
+/// can trust it. [`save_shard`] writes [`trusted_prefix`], the payload
+/// and the closing brace, so both digests precede the payload and
+/// classify reads only the prefix.
+#[derive(Debug, Deserialize)]
 struct ShardFile {
     /// [`BEHAVIOR_HASH`] at generation time.
     behavior_hash: String,
@@ -489,26 +491,6 @@ struct ShardFile {
     config_fingerprint: String,
     /// The payload.
     path: PathData,
-}
-
-/// A [`ShardFile`] that borrows its payload, for writing: it writes the
-/// same fields in the same order as `ShardFile`'s derived serializer, so
-/// the same bytes, without copying the path's data first.
-struct ShardRef<'a> {
-    config_fingerprint: &'a str,
-    path: &'a PathData,
-}
-
-impl Serialize for ShardRef<'_> {
-    fn serialize(&self, out: &mut String) {
-        out.push_str("{\"behavior_hash\":");
-        BEHAVIOR_HASH.serialize(out);
-        out.push_str(",\"config_fingerprint\":");
-        self.config_fingerprint.serialize(out);
-        out.push_str(",\"path\":");
-        self.path.serialize(out);
-        out.push('}');
-    }
 }
 
 /// One manifest line: which shard file covers which catalog path.
@@ -536,15 +518,6 @@ struct Manifest {
     shards: Vec<ManifestEntry>,
 }
 
-/// FNV-1a, 64-bit — same digest family as the behavior hash.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Fingerprint of everything *besides* simulation code that decides a
 /// shard's contents: the full preset (epoch counts, durations, fault
 /// rates, seed) and the path's own configuration. Hashed over the
@@ -553,8 +526,7 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 pub fn shard_fingerprint(preset: &Preset, config: &PathConfig) -> String {
     let preset_json = serde_json::to_string(preset).unwrap_or_default();
     let config_json = serde_json::to_string(config).unwrap_or_default();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    h = fnv1a(h, preset_json.as_bytes());
+    let mut h = fnv1a(FNV_OFFSET, preset_json.as_bytes());
     h = fnv1a(h, &[0]);
     h = fnv1a(h, config_json.as_bytes());
     h = fnv1a(h, &[0]);
@@ -569,10 +541,10 @@ fn shard_trusted(shard: &ShardFile, expected_fingerprint: &str) -> bool {
     shard.behavior_hash == BEHAVIOR_HASH && shard.config_fingerprint == expected_fingerprint
 }
 
-/// The bytes a trusted shard begins with: `serde_json::to_string` of a
-/// [`ShardFile`] carrying the current [`BEHAVIOR_HASH`] and
-/// `expected_fingerprint`, up to the start of the payload (83 bytes —
-/// both digests are 16 hex digits).
+/// The bytes a trusted shard begins with: the envelope carrying the
+/// current [`BEHAVIOR_HASH`] and `expected_fingerprint`, up to the start
+/// of the payload (83 bytes — both digests are 16 hex digits).
+/// [`save_shard`] writes it verbatim.
 fn trusted_prefix(expected_fingerprint: &str) -> String {
     format!(
         "{{\"behavior_hash\":\"{BEHAVIOR_HASH}\",\"config_fingerprint\":\"{expected_fingerprint}\",\"path\":"
@@ -604,11 +576,9 @@ fn load_shard(path: &FsPath) -> io::Result<ShardFile> {
 /// the (preset, config) fingerprint. Its bytes are counted in
 /// `data.bytes_encoded` (observation-only).
 fn save_shard(dir: &FsPath, id: usize, preset: &Preset, data: &PathData) -> io::Result<()> {
-    let shard = ShardRef {
-        config_fingerprint: &shard_fingerprint(preset, &data.config),
-        path: data,
-    };
-    let json = serde_json::to_string(&shard).map_err(io::Error::other)?;
+    let mut json = trusted_prefix(&shard_fingerprint(preset, &data.config));
+    data.serialize(&mut json);
+    json.push('}');
     obs::counter!("data.bytes_encoded").add(json.len() as u64);
     write_atomic(&dir.join(shard_file_name(id)), &json)
 }
@@ -997,34 +967,31 @@ mod tests {
     }
 
     #[test]
-    fn classify_prefix_is_what_the_serializer_writes() {
-        // Classify trusts a shard on its first bytes alone. Should the
-        // serializer ever reorder or space the envelope, every warm walk
-        // would silently become a full regeneration — this pins it.
+    fn saved_shard_starts_with_the_trusted_prefix_and_loads_back() {
+        // Classify trusts a shard on its first bytes alone, so the
+        // writer must emit exactly that prefix, and the full parse must
+        // read the envelope it completes.
+        let dir = scratch("shard-envelope");
+        let _ = std::fs::remove_dir_all(&dir);
+        let preset = Preset::tiny();
         let catalog = shard_catalog();
-        let fingerprint = shard_fingerprint(&Preset::tiny(), &catalog[0]);
-        let shard = ShardFile {
-            behavior_hash: BEHAVIOR_HASH.to_string(),
-            config_fingerprint: fingerprint.clone(),
-            path: path_data(&catalog[0], 1e6),
-        };
-        let json = serde_json::to_string(&shard).unwrap();
-        let borrowed = ShardRef {
-            config_fingerprint: &fingerprint,
-            path: &shard.path,
-        };
-        assert_eq!(
-            serde_json::to_string(&borrowed).unwrap(),
-            json,
-            "the borrowing envelope writes the owned one's bytes"
-        );
+        let data = path_data(&catalog[0], 1e6);
+        save_shard(&dir, 0, &preset, &data).unwrap();
+        let file = dir.join(shard_file_name(0));
+        let fingerprint = shard_fingerprint(&preset, &catalog[0]);
         let prefix = trusted_prefix(&fingerprint);
         assert_eq!(prefix.len(), 83);
+        let json = std::fs::read_to_string(&file).unwrap();
         assert!(
             json.starts_with(&prefix),
             "envelope {} does not start with {prefix}",
             &json[..prefix.len().min(json.len())]
         );
+        assert!(header_trusted(&file, &fingerprint).unwrap());
+        let shard = load_shard(&file).unwrap();
+        assert!(shard_trusted(&shard, &fingerprint));
+        assert_eq!(shard.path, data);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
